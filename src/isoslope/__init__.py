@@ -11,11 +11,9 @@ dominance, Hecke-Newton translation), surfaced by cli.
 from .arith import (
     ExtField,
     PadicResidue,
-    PrimeField,
     Valuation,
     field_create,
     teichmuller,
-    valuation,
 )
 from .convolution import cyclic_convolve
 from .coweight import (

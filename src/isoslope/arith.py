@@ -19,7 +19,6 @@ Conventions
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -89,17 +88,6 @@ def table_limit_from_env(explicit: int | None = None) -> int:
             raise MalformedInput(f"{TABLE_LIMIT_ENV} must be >= 2, got {val}")
         return val
     return DEFAULT_TABLE_LIMIT
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """The prime field GF(p); mostly a validated carrier for p."""
-
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise NotPrime(f"{self.p} is not prime")
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +183,7 @@ class ExtField:
     """GF(p^m) with integer-encoded elements and full dlog/exp tables.
 
     Use field_create() rather than constructing directly; fields are cached
-    and immutable after construction, so sharing across threads is safe.
+    and never mutated after construction.
     """
 
     def __init__(self, p: int, m: int, table_limit: int | None = None):
@@ -357,7 +345,8 @@ class ExtField:
 
 
 def norm(field: ExtField, y: int) -> int:
-    """Norm to GF(p): y -> y^((q-1)/(p-1)); 0 maps to 0."""
+    """Norm to GF(p): y -> y^((q-1)/(p-1)); 0 maps to 0.  Read off the
+    dlog/exp tables; reference.py keeps an independent copy."""
     if not 0 <= y < field.q:
         raise FieldMismatch(f"element {y} outside GF({field.p}^{field.m})")
     if y == 0:
@@ -370,19 +359,17 @@ def norm(field: ExtField, y: int) -> int:
 
 
 _FIELD_CACHE: dict[tuple[int, int, int], ExtField] = {}
-_FIELD_LOCK = threading.Lock()
 
 
 def field_create(p: int, m: int, table_limit: int | None = None) -> ExtField:
     """Cached constructor for GF(p^m)."""
     limit = table_limit_from_env(table_limit)
     key = (p, m, limit)
-    with _FIELD_LOCK:
-        fld = _FIELD_CACHE.get(key)
-        if fld is None:
-            fld = ExtField(p, m, limit)
-            _FIELD_CACHE[key] = fld
-        return fld
+    fld = _FIELD_CACHE.get(key)
+    if fld is None:
+        fld = ExtField(p, m, limit)
+        _FIELD_CACHE[key] = fld
+    return fld
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +390,6 @@ class Valuation:
     @classmethod
     def at_least(cls, v) -> "Valuation":
         return cls(False, Fraction(v))
-
-    def bound(self) -> Fraction:
-        """Largest b with v >= b certain from this datum."""
-        return self.value
 
     def __repr__(self):
         tag = "Exact" if self.is_exact else "AtLeast"
@@ -484,16 +467,11 @@ class PadicResidue:
         return Valuation.exact(v)
 
 
-def valuation(r: PadicResidue) -> Valuation:
-    return r.valuation()
-
-
 # ---------------------------------------------------------------------------
 # Teichmueller lifts and multiplicative character values
 # ---------------------------------------------------------------------------
 
 _TEICH_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
-_TEICH_LOCK = threading.Lock()
 
 
 def teichmuller(p: int, y: int, precision: int) -> int:
@@ -519,12 +497,11 @@ def teichmuller(p: int, y: int, precision: int) -> int:
 def teichmuller_table(p: int, precision: int) -> tuple[int, ...]:
     """teichmuller(p, y, precision) for y = 0..p-1, cached."""
     key = (p, precision)
-    with _TEICH_LOCK:
-        tab = _TEICH_CACHE.get(key)
-        if tab is None:
-            tab = tuple(teichmuller(p, y, precision) for y in range(p))
-            _TEICH_CACHE[key] = tab
-        return tab
+    tab = _TEICH_CACHE.get(key)
+    if tab is None:
+        tab = tuple(teichmuller(p, y, precision) for y in range(p))
+        _TEICH_CACHE[key] = tab
+    return tab
 
 
 def char_value(field: ExtField, c: int, y: int, precision: int) -> PadicResidue:
@@ -545,7 +522,6 @@ def char_value(field: ExtField, c: int, y: int, precision: int) -> PadicResidue:
 # ---------------------------------------------------------------------------
 
 _EMBED_CACHE: dict[tuple[int, int, int, int], int] = {}
-_EMBED_LOCK = threading.Lock()
 
 
 def _min_poly(field: ExtField, a: int):
@@ -578,8 +554,7 @@ def embed_generator_dlog(small: ExtField, big: ExtField) -> int:
             f"no embedding GF({small.p}^{small.m}) -> GF({big.p}^{big.m})"
         )
     key = (small.p, small.m, big.m, big.q)
-    with _EMBED_LOCK:
-        hit = _EMBED_CACHE.get(key)
+    hit = _EMBED_CACHE.get(key)
     if hit is not None:
         return hit
     if small.m == big.m:
@@ -600,8 +575,7 @@ def embed_generator_dlog(small: ExtField, big: ExtField) -> int:
                 break
         if result is None:  # pragma: no cover
             raise AssertionError("no embedding found")
-    with _EMBED_LOCK:
-        _EMBED_CACHE[key] = result
+    _EMBED_CACHE[key] = result
     return result
 
 

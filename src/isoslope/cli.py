@@ -39,7 +39,7 @@ from .scan import (
     point_record,
     rational_str,
     scan_family,
-    verify_triple_gap_uniqueness,
+    triple_gap_failures,
 )
 
 EX_OK = 0
@@ -154,7 +154,9 @@ def cmd_scan(args) -> int:
     p_min, p_max = _parse_p_range(args.p_range)
     c = tuple(_parse_int_list(args.c)) if args.c is not None else None
     spec = FamilySpec(args.family, p_min, p_max, c, args.m_max)
-    report = scan_family(spec, checkpoint=args.checkpoint, workers=args.workers)
+    if args.workers < 1:
+        raise MalformedInput(f"need workers >= 1, got {args.workers}")
+    report = scan_family(spec, checkpoint=args.checkpoint)
 
     if args.format == "json":
         payload = report.to_bytes().decode()
@@ -180,17 +182,7 @@ def cmd_scan(args) -> int:
     print(summary, file=sys.stderr)
 
     if spec.kind == "triplegap":
-        failures = []
-        for p in range(max(5, p_min), p_max + 1):
-            for c3 in range(1, p - 1):
-                if 2 * c3 == p - 1:
-                    continue
-                try:
-                    ok = verify_triple_gap_uniqueness(p, c3)
-                except IsoslopeError:
-                    continue
-                if not ok:
-                    failures.append((p, c3))
+        failures = triple_gap_failures(report)
         if failures:
             print(f"triple-gap uniqueness FAILED at {failures}", file=sys.stderr)
             return EX_MATH
@@ -306,7 +298,9 @@ def build_parser() -> _Parser:
     p.add_argument("--c", help="exponents for --family explicit")
     p.add_argument("--m-max", type=int, default=1)
     p.add_argument("--checkpoint", help="resumable NDJSON path")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility and ignored: scans run "
+                        "serially (must be >= 1)")
     p.add_argument("--out", help="report path (default stdout)")
     _add_format(p)
     p.set_defaults(func=cmd_scan)

@@ -23,12 +23,10 @@ as a censored bound and can only certify, never shape, the polygon.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from . import reference
 from .arith import (
     ExtField,
     PadicResidue,
@@ -36,6 +34,7 @@ from .arith import (
     embed_element,
     field_create,
     is_prime,
+    norm,
     teichmuller_table,
 )
 from .convolution import cyclic_convolve
@@ -111,11 +110,7 @@ def unit_root_eval(datum: HypergeometricDatum, point: "PointSpec") -> int:
     """Norm to GF(p) of the degeneracy polynomial at the point; zero exactly
     when the bottom slope is positive."""
     field = point.field
-    val = field.eval_poly(unit_root_poly(datum), point.x)
-    if val == 0:
-        return 0
-    stride = (field.q - 1) // (field.p - 1)
-    return field.exp[field.dlog[val] * stride % (field.q - 1)]
+    return norm(field, field.eval_poly(unit_root_poly(datum), point.x))
 
 
 def _binom_lucas(a: int, b: int, p: int) -> int:
@@ -229,39 +224,29 @@ def closed_points(field: ExtField) -> list[PointSpec]:
 
 
 # ---------------------------------------------------------------------------
-# trace tables (dlog domain) and the two engines
+# trace tables (dlog domain)
 # ---------------------------------------------------------------------------
 
 _NORM_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
 _CHAR_CACHE: dict[tuple, tuple[int, ...]] = {}
 _TRACE_CACHE: dict[tuple, list[int]] = {}
-_CACHE_LOCK = threading.Lock()
 
 
 def _norm_one_minus_table(field: ExtField) -> tuple[int, ...]:
     """norm(1 - g^e) in GF(p), indexed by e; entry 0 (x = 1) is 0."""
     key = (field.p, field.m)
-    with _CACHE_LOCK:
-        hit = _NORM_CACHE.get(key)
+    hit = _NORM_CACHE.get(key)
     if hit is not None:
         return hit
-    q, p = field.q, field.p
-    stride = (q - 1) // (p - 1)
-    out = []
-    for e in range(q - 1):
-        y = field.sub(1, field.exp[e])
-        out.append(0 if y == 0 else field.exp[field.dlog[y] * stride % (q - 1)])
-    result = tuple(out)
-    with _CACHE_LOCK:
-        _NORM_CACHE[key] = result
+    result = tuple(norm(field, field.sub(1, field.exp[e])) for e in range(field.q - 1))
+    _NORM_CACHE[key] = result
     return result
 
 
 def _char_dlog_table(field: ExtField, c: int, precision: int) -> tuple[int, ...]:
     """tau(norm(1 - g^e))^c mod p^N, indexed by e."""
     key = (field.p, field.m, c, precision)
-    with _CACHE_LOCK:
-        hit = _CHAR_CACHE.get(key)
+    hit = _CHAR_CACHE.get(key)
     if hit is not None:
         return hit
     p = field.p
@@ -269,8 +254,7 @@ def _char_dlog_table(field: ExtField, c: int, precision: int) -> tuple[int, ...]
     tau = teichmuller_table(p, precision)
     powmap = [0] + [pow(v, c, p) for v in range(1, p)]
     result = tuple(tau[powmap[nm]] if nm else 0 for nm in norms)
-    with _CACHE_LOCK:
-        _CHAR_CACHE[key] = result
+    _CHAR_CACHE[key] = result
     return result
 
 
@@ -281,22 +265,19 @@ def _trace_table(datum: HypergeometricDatum, field: ExtField, precision: int) ->
     no rank sign applied here.
     """
     key = (field.p, field.m, datum.c, precision)
-    with _CACHE_LOCK:
-        hit = _TRACE_CACHE.get(key)
+    hit = _TRACE_CACHE.get(key)
     if hit is not None:
         return hit
     modulus = datum.p ** precision
     acc = list(_char_dlog_table(field, datum.c[0], precision))
     for ci in datum.c[1:]:
         acc = cyclic_convolve(acc, _char_dlog_table(field, ci, precision), modulus)
-    with _CACHE_LOCK:
-        _TRACE_CACHE[key] = acc
+    _TRACE_CACHE[key] = acc
     return acc
 
 
 def frobenius_trace(datum: HypergeometricDatum, point: PointSpec, j: int,
-                    precision: int, engine: str = "convolution",
-                    table_limit: int | None = None) -> PadicResidue:
+                    precision: int, table_limit: int | None = None) -> PadicResidue:
     """Trace of the j-th Frobenius power at the point, mod p^precision.
 
     Equals (-1)^(n-1) times the tuple sum over GF(p^(m j)): the rank shift
@@ -311,12 +292,7 @@ def frobenius_trace(datum: HypergeometricDatum, point: PointSpec, j: int,
         )
     big = field_create(datum.p, point.field.m * j, table_limit)
     y = embed_element(point.field, big, point.x)
-    if engine == "convolution":
-        raw = _trace_table(datum, big, precision)[big.dlog[y]]
-    elif engine == "enumeration":
-        raw = reference.trace_sum_at(datum.c, big, y, precision)
-    else:
-        raise MalformedInput(f"unknown engine {engine!r}")
+    raw = _trace_table(datum, big, precision)[big.dlog[y]]
     if datum.n % 2 == 0:
         raw = -raw
     return PadicResidue(datum.p, precision, raw)
@@ -371,9 +347,9 @@ def _trace_jmax(n: int, strategy: str) -> int:
 
 
 def _power_traces(datum: HypergeometricDatum, point: PointSpec, jmax: int,
-                  precision: int, engine: str, table_limit) -> dict[int, PadicResidue]:
+                  precision: int, table_limit) -> dict[int, PadicResidue]:
     return {
-        j: frobenius_trace(datum, point, j, precision, engine, table_limit)
+        j: frobenius_trace(datum, point, j, precision, table_limit)
         for j in range(1, jmax + 1)
     }
 
@@ -398,7 +374,6 @@ def _shift(val: Valuation, delta: int) -> Valuation:
 
 def char_poly_valuations(datum: HypergeometricDatum, point: PointSpec,
                          strategy: str = "auto", precision: int | None = None,
-                         engine: str = "convolution",
                          table_limit: int | None = None) -> CharPolyData:
     """Valuations of b_0..b_n at the point, by the requested strategy.
 
@@ -417,7 +392,7 @@ def char_poly_valuations(datum: HypergeometricDatum, point: PointSpec,
         raise MalformedInput(f"precision must be >= 1, got {precision}")
 
     jmax = _trace_jmax(n, strategy)
-    traces = _power_traces(datum, point, jmax, precision, engine, table_limit)
+    traces = _power_traces(datum, point, jmax, precision, table_limit)
     b = _coeffs_from_traces(traces, p, precision, jmax)
     residues = {r: b[r] for r in range(1, jmax + 1)}
 
@@ -448,7 +423,7 @@ def char_poly_valuations(datum: HypergeometricDatum, point: PointSpec,
         else:
             # partner coefficients come from the dual datum's own traces
             ptraces = _power_traces(dual_datum(datum), point, jmax, precision,
-                                    engine, table_limit)
+                                    table_limit)
             pb = _coeffs_from_traces(ptraces, p, precision, jmax)
             alpha_d = unit_root_eval(dual_datum(datum), point)
             if (pb[1].value + alpha_d) % p != 0:
@@ -523,7 +498,6 @@ def _assert_report_sane(report: SlopeReport):
 
 def slopes_at_point(datum: HypergeometricDatum, point: PointSpec,
                     strategy: str = "auto", precision: int | None = None,
-                    engine: str = "convolution",
                     table_limit: int | None = None) -> SlopeReport:
     """Slope vector at one closed point.
 
@@ -552,8 +526,7 @@ def slopes_at_point(datum: HypergeometricDatum, point: PointSpec,
         _assert_report_sane(report)
         return report
 
-    cpd = char_poly_valuations(datum, point, strategy, precision, engine,
-                               table_limit)
+    cpd = char_poly_valuations(datum, point, strategy, precision, table_limit)
     polygon = lower_hull([HullPoint(r, v) for r, v in enumerate(cpd.valuations)])
     sv = slopes_descending(polygon, point.field.m)
     gaps, max_gap, violates = gap_profile(sv)

@@ -112,12 +112,12 @@ def lower_hull(points) -> NewtonPolygon:
         if hp.val.is_exact:
             continue
         needed = polygon.value_at(hp.index)
-        if hp.val.bound() < needed:
+        if hp.val.value < needed:
             raise PrecisionInsufficient(
                 f"coefficient {hp.index} only known divisible to order "
-                f"{hp.val.bound()}, hull needs {needed}",
+                f"{hp.val.value}, hull needs {needed}",
                 index=hp.index,
-                bound=hp.val.bound(),
+                bound=hp.val.value,
                 needed=needed,
             )
     if len(polygon.slopes) != n:

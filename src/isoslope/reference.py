@@ -11,8 +11,6 @@ paths checks the whole dlog machinery against first principles.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .arith import ExtField, teichmuller_table
@@ -25,7 +23,6 @@ _MAX_TABLE_Q = 1 << 12
 
 _PRODUCT_CACHE: dict[tuple[int, int], np.ndarray] = {}
 _CHAR_CACHE: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
-_LOCK = threading.Lock()
 
 
 def char_values_by_element(field: ExtField, c: int, precision: int) -> tuple[int, ...]:
@@ -35,8 +32,7 @@ def char_values_by_element(field: ExtField, c: int, precision: int) -> tuple[int
     tables.
     """
     key = (field.p, field.m, c, precision)
-    with _LOCK:
-        hit = _CHAR_CACHE.get(key)
+    hit = _CHAR_CACHE.get(key)
     if hit is not None:
         return hit
     p, q = field.p, field.q
@@ -52,8 +48,7 @@ def char_values_by_element(field: ExtField, c: int, precision: int) -> tuple[int
             raise AssertionError("norm left the prime field")
         out[y] = tau[pow(nm, c, p)]
     result = tuple(out)
-    with _LOCK:
-        _CHAR_CACHE[key] = result
+    _CHAR_CACHE[key] = result
     return result
 
 
@@ -65,8 +60,7 @@ def element_product_table(field: ExtField) -> np.ndarray:
     field arithmetic, and those go through _mul_raw.
     """
     key = (field.p, field.m)
-    with _LOCK:
-        hit = _PRODUCT_CACHE.get(key)
+    hit = _PRODUCT_CACHE.get(key)
     if hit is not None:
         return hit
     p, m, q = field.p, field.m, field.q
@@ -87,8 +81,7 @@ def element_product_table(field: ExtField) -> np.ndarray:
                 img, d = divmod(img, p)
                 mat[i, k] = d
         table[a] = ((digits @ mat) % p) @ powers
-    with _LOCK:
-        _PRODUCT_CACHE[key] = table
+    _PRODUCT_CACHE[key] = table
     return table
 
 

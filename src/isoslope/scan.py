@@ -8,19 +8,18 @@ a top-gap violation at -(2 c3)^(-1) and a bottom-gap violation at
 (2(c3+1))^(-1), both mod p.  Scan output flags violations at predicted
 points as expected and anything else as a discovery.
 
-Scans are resumable (append-only newline-delimited JSON checkpoint, one
-record per closed point) and deterministic: the aggregated report bytes do
-not depend on the worker count or on which records came from the checkpoint.
-Timing never enters the report payload for that reason.
+Scans run serially and are resumable (append-only newline-delimited JSON
+checkpoint, one record per closed point) and deterministic: the aggregated
+report bytes are the same whether the records were computed fresh or served
+from the checkpoint.  Timing never enters the report payload for that
+reason.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,12 +27,9 @@ from .arith import field_create, is_prime
 from .errors import InvalidC3, MalformedInput, NotPrime, PrimeTooSmall
 from .hyper import (
     HypergeometricDatum,
-    PointSpec,
     SlopeReport,
     closed_points,
-    dual_datum,
     slopes_at_point,
-    unit_root_eval,
 )
 
 SCHEMA_VERSION = "1"
@@ -88,8 +84,7 @@ def family_members(spec: FamilySpec) -> list[HypergeometricDatum]:
 
 
 def scan_points(datum: HypergeometricDatum, m_max: int = 1,
-                strategy: str = "auto", engine: str = "convolution"
-                ) -> list[SlopeReport]:
+                strategy: str = "auto") -> list[SlopeReport]:
     """Slope report at every closed point of degree <= m_max, ordered by
     degree then representative dlog."""
     if m_max < 1:
@@ -98,7 +93,7 @@ def scan_points(datum: HypergeometricDatum, m_max: int = 1,
     for degree in range(1, m_max + 1):
         field = field_create(datum.p, degree)
         for pt in closed_points(field):
-            out.append(slopes_at_point(datum, pt, strategy, engine=engine))
+            out.append(slopes_at_point(datum, pt, strategy))
     return out
 
 
@@ -110,7 +105,8 @@ def scan_points(datum: HypergeometricDatum, m_max: int = 1,
 # At p = 31, x = 4 and 17 are the roots of the unit-root polynomial (slopes
 # 5/2,5/2,1/2,1/2); x = 5, 12, 16, 27 keep a unit root but pick up an extra
 # factor of p in the second coefficient (slopes 3,3/2,3/2,0), as does x = 3
-# at p = 11.  All verified with every strategy and both trace engines.
+# at p = 11.  All verified with every strategy and against the enumeration
+# oracle in reference.py.
 _QUINTIC_PINNED = {
     11: frozenset({3}),
     31: frozenset({4, 5, 12, 16, 17, 27}),
@@ -145,9 +141,8 @@ def predicted_violation_points(datum: HypergeometricDatum) -> frozenset[int]:
 
 
 def verify_triple_gap_uniqueness(p: int, c3: int) -> bool:
-    """Scan c = (1, p-2, c3) over the degree-1 points and confirm there is
-    exactly one with top gap a_1 - a_2 > 1, sitting at -(2 c3)^(-1) mod p
-    with a_1 = 2 there."""
+    """Scan c = (1, p-2, c3) over the degree-1 points and apply
+    triple_gap_unique to the records."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p < 5:
@@ -157,13 +152,33 @@ def verify_triple_gap_uniqueness(p: int, c3: int) -> bool:
     if 2 * c3 == p - 1:
         raise InvalidC3(f"c3 = (p-1)/2 = {c3} is excluded")
     datum = HypergeometricDatum(p, (1, p - 2, c3))
-    hits = [r for r in scan_points(datum, 1)
-            if r.gaps and r.gaps[0] > 1]
-    if len(hits) != 1:
-        return False
-    hit = hits[0]
+    return triple_gap_unique(p, c3, [point_record(r) for r in scan_points(datum, 1)])
+
+
+def triple_gap_unique(p: int, c3: int, records) -> bool:
+    """The triple-gap uniqueness predicate on the point records of
+    c = (1, p-2, c3): among the degree-1 points exactly one has top gap
+    a_1 - a_2 > 1, it sits at -(2 c3)^(-1) mod p, and a_1 = 2 there."""
+    hits = [r for r in records
+            if r["degree"] == 1 and r["gaps"] and Fraction(r["gaps"][0]) > 1]
     want = -pow(2 * c3, p - 2, p) % p
-    return hit.point.x == want and tuple(hit.slopes)[0] == 2
+    return len(hits) == 1 and hits[0]["x"] == want and \
+        Fraction(hits[0]["slopes"][0]) == 2
+
+
+def triple_gap_failures(report: CounterexampleReport) -> list[tuple[int, int]]:
+    """(p, c3) of every triple-gap datum of the report whose records fail
+    triple_gap_unique."""
+    by_datum: dict[tuple, list[dict]] = {}
+    for rec in report.records:
+        by_datum.setdefault((rec["p"], tuple(rec["c"])), []).append(rec)
+    failures = []
+    for datum in family_members(report.spec):
+        c3 = _triple_gap_c3(datum)
+        if c3 is not None and not triple_gap_unique(
+                datum.p, c3, by_datum.get((datum.p, datum.c), ())):
+            failures.append((datum.p, c3))
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +219,14 @@ def _record_key(rec: dict) -> tuple:
 @dataclass(frozen=True)
 class CounterexampleReport:
     """Aggregated scan outcome: every point record, the gap violations with
-    their expected/discovery flag, and counts.  elapsed_s and workers are
-    run metadata and excluded from the serialized payload."""
+    their expected/discovery flag, and counts.  elapsed_s is run metadata
+    and excluded from the serialized payload."""
 
     spec: FamilySpec
     records: tuple[dict, ...]
     violations: tuple[dict, ...]
     datum_count: int
     elapsed_s: float
-    workers: int
 
     def payload(self) -> dict:
         family = {
@@ -241,16 +255,19 @@ class CounterexampleReport:
 
 class _Checkpoint:
     """Append-only NDJSON store keyed by (p, c, degree, x_dlog).  A torn
-    final line from an interrupted run is dropped on load."""
+    final line from an interrupted run is dropped on load and ended with a
+    newline when the file is opened for appending, so new records start on
+    a line of their own."""
 
     def __init__(self, path: str | None):
         self.path = path
-        self._lock = threading.Lock()
         self._fh = None
         self.records: dict[tuple, dict] = {}
+        torn = False
         if path and os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
                 for line in fh:
+                    torn = not line.endswith("\n")
                     line = line.strip()
                     if not line:
                         continue
@@ -261,13 +278,14 @@ class _Checkpoint:
                     self.records[_record_key(rec)] = rec
         if path:
             self._fh = open(path, "a", encoding="utf-8")
+            if torn:
+                self._fh.write("\n")
 
     def add(self, rec: dict):
-        with self._lock:
-            self.records[_record_key(rec)] = rec
-            if self._fh is not None:
-                self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
-                self._fh.flush()
+        self.records[_record_key(rec)] = rec
+        if self._fh is not None:
+            self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            self._fh.flush()
 
     def close(self):
         if self._fh is not None:
@@ -276,55 +294,20 @@ class _Checkpoint:
 
 
 def scan_family(spec: FamilySpec, checkpoint: str | None = None,
-                workers: int = 1, strategy: str = "auto",
-                engine: str = "convolution") -> CounterexampleReport:
-    """Run the family sweep and aggregate a deterministic report.
-
-    Work items are independent closed points; completed ones found in the
-    checkpoint are not recomputed.  With several workers, one non-fast-path
-    point per (datum, degree) group runs first so the shared trace tables
-    are built once instead of racing.
+                strategy: str = "auto") -> CounterexampleReport:
+    """Run the family sweep point by point and aggregate a deterministic
+    report.  Points whose records are already in the checkpoint are not
+    recomputed; every new record is appended to it as soon as it exists.
     """
-    if workers < 1:
-        raise MalformedInput(f"need workers >= 1, got {workers}")
     t0 = time.monotonic()
     datums = family_members(spec)
     store = _Checkpoint(checkpoint)
     try:
-        pending = []
         for datum in datums:
             for degree in range(1, spec.m_max + 1):
-                field = field_create(datum.p, degree)
-                for pt in closed_points(field):
-                    key = (datum.p, datum.c, degree, field.dlog[pt.x])
-                    if key not in store.records:
-                        pending.append((datum, pt))
-
-        def run(item):
-            datum, pt = item
-            store.add(point_record(slopes_at_point(datum, pt, strategy,
-                                                   engine=engine)))
-
-        if workers == 1 or len(pending) <= 1:
-            for item in pending:
-                run(item)
-        else:
-            warm, rest, seen_groups = [], [], set()
-            for datum, pt in pending:
-                group = (datum.p, datum.c, pt.degree)
-                needs_tables = datum.n > 3 or \
-                    unit_root_eval(datum, pt) == 0 or \
-                    unit_root_eval(dual_datum(datum), pt) == 0
-                if needs_tables and group not in seen_groups:
-                    seen_groups.add(group)
-                    warm.append((datum, pt))
-                else:
-                    rest.append((datum, pt))
-            for item in warm:
-                run(item)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for _ in pool.map(run, rest):
-                    pass
+                for pt in closed_points(field_create(datum.p, degree)):
+                    if (datum.p, datum.c, degree, pt.dlog) not in store.records:
+                        store.add(point_record(slopes_at_point(datum, pt, strategy)))
     finally:
         store.close()
 
@@ -342,4 +325,4 @@ def scan_family(spec: FamilySpec, checkpoint: str | None = None,
         entry["expected"] = rec["degree"] == 1 and rec["x"] in expected_cache[dkey]
         violations.append(entry)
     return CounterexampleReport(spec, records, tuple(violations), len(datums),
-                                time.monotonic() - t0, workers)
+                                time.monotonic() - t0)

@@ -8,6 +8,7 @@ stdout), 64 malformed usage (message on stderr).
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -205,6 +206,39 @@ def test_scan_checkpoint_roundtrip(capsys, tmp_path):
                         "--p-range", "5", "--checkpoint", ckpt)
     assert code == 0
     assert out1 == out2
+
+
+def test_scan_workers_flag_is_accepted_and_ignored(capsys):
+    code, plain, _ = run(capsys, "scan", "--family", "triplegap", "--p-range", "5..7")
+    assert code == 0
+    code, two, _ = run(capsys, "scan", "--family", "triplegap", "--p-range", "5..7",
+                       "--workers", "2")
+    assert code == 0
+    assert two == plain
+    code, out, err = run(capsys, "scan", "--family", "triplegap", "--p-range", "5",
+                         "--workers", "0")
+    assert code == 64
+    assert out == "" and "usage error" in err
+
+
+def test_scan_triplegap_verdict_reads_the_served_records(capsys, tmp_path):
+    ckpt = tmp_path / "ck.ndjson"
+    code, _, _ = run(capsys, "scan", "--family", "triplegap", "--p-range", "5",
+                     "--checkpoint", str(ckpt))
+    assert code == 0
+    recs = [json.loads(ln) for ln in ckpt.read_text(encoding="utf-8").splitlines()]
+    # c3 = 1: the one top-gap point, -(2 c3)^(-1) = 2 mod 5, made generic
+    (top,) = [r for r in recs if r["c"] == [1, 1, 3] and r["x"] == 2]
+    assert Fraction(top["gaps"][0]) > 1
+    top.update(slopes=["2", "1", "0"], gaps=["1", "1"], max_gap="1", violates=False)
+    ckpt.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "scan", "--family", "triplegap", "--p-range", "5",
+                         "--checkpoint", str(ckpt))
+    assert code == 2
+    assert "triple-gap uniqueness FAILED at [(5, 1)]" in err
+    assert "all triple-gap uniqueness checks passed" not in err
+    assert json.loads(out)["summary"]["violations"] == 3
 
 
 # -- hecke -------------------------------------------------------------------

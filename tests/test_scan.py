@@ -1,8 +1,8 @@
 """Family sweeps: membership, predicted degeneracy loci, records, resume.
 
 The report-bytes tests pin the determinism contract: same family in, same
-bytes out, independent of worker count, checkpoint reuse, or torn trailing
-lines left by an interrupted run.
+bytes out, whether computed fresh or resumed from a checkpoint, including
+one with torn trailing lines left by an interrupted run.
 """
 
 from __future__ import annotations
@@ -175,14 +175,15 @@ def test_triplegap_scan_p7():
     assert "c" not in payload["family"]
 
 
-def test_scan_bytes_do_not_depend_on_worker_count():
+def test_scan_bytes_exclude_run_metadata():
     spec = FamilySpec("triplegap", 5, 5)
-    lone = scan_family(spec, workers=1)
-    pooled = scan_family(spec, workers=4)
-    assert lone.to_bytes() == pooled.to_bytes()
-    assert lone.workers == 1 and pooled.workers == 4
-    assert b"elapsed" not in lone.to_bytes() and b"workers" not in lone.to_bytes()
-    assert len(lone.violations) == 4
+    first = scan_family(spec)
+    again = scan_family(spec)
+    raw = first.to_bytes()
+    assert raw == again.to_bytes()
+    assert first.elapsed_s >= 0
+    assert b"elapsed" not in raw and b"workers" not in raw
+    assert len(first.violations) == 4
 
 
 def test_explicit_scan_includes_degree_two_points():
@@ -207,7 +208,7 @@ def test_checkpoint_resume_serves_cached_records(tmp_path, monkeypatch):
     spec = FamilySpec("triplegap", 5, 5)
     path = str(tmp_path / "scan.ndjson")
     first = scan_family(spec, checkpoint=path)
-    lines = [ln for ln in open(path, encoding="utf-8").read().splitlines() if ln]
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
     assert len(lines) == len(first.records)
     for ln in lines:
         validate_record(json.loads(ln))
@@ -222,35 +223,43 @@ def test_checkpoint_resume_serves_cached_records(tmp_path, monkeypatch):
 
 def test_checkpoint_tolerates_torn_and_blank_lines(tmp_path, monkeypatch):
     spec = FamilySpec("triplegap", 5, 5)
-    path = str(tmp_path / "scan.ndjson")
-    first = scan_family(spec, checkpoint=path)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("\n\n")
-        fh.write('{"p": 5, "c": [1, 3, 1], "degree": 1, "x_dl')  # torn write
-    monkeypatch.setattr("isoslope.scan.slopes_at_point",
-                        lambda *a, **k: pytest.fail("unexpected recompute"))
-    again = scan_family(spec, checkpoint=path)
+    path = tmp_path / "scan.ndjson"
+    first = scan_family(spec, checkpoint=str(path))
+    *kept, dropped = path.read_text(encoding="utf-8").splitlines()
+    torn = '{"p": 5, "c": [1, 3, 1], "degree": 1, "x_dl'  # interrupted write
+    path.write_text("\n".join(kept) + "\n\n\n" + torn, encoding="utf-8")
+    computed = []
+    real = slopes_at_point
+
+    def counting(*a, **k):
+        computed.append(a)
+        return real(*a, **k)
+
+    monkeypatch.setattr("isoslope.scan.slopes_at_point", counting)
+    again = scan_family(spec, checkpoint=str(path))
     assert again.to_bytes() == first.to_bytes()
+    assert len(computed) == 1
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for ln in lines:
+        if ln and ln != torn:
+            json.loads(ln)
+    # the recomputed record follows the torn line instead of extending it
+    assert lines[-2:] == [torn, dropped]
 
 
 def test_partial_checkpoint_computes_only_the_gap(tmp_path):
     spec = FamilySpec("triplegap", 5, 5)
     path = str(tmp_path / "scan.ndjson")
     full = scan_family(spec, checkpoint=path)
-    kept = open(path, encoding="utf-8").read().splitlines()[:-3]
+    kept = Path(path).read_text(encoding="utf-8").splitlines()[:-3]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(kept) + "\n")
     resumed = scan_family(spec, checkpoint=path)
     assert resumed.to_bytes() == full.to_bytes()
     # the finished file holds the three recomputed records appended at the end
     tail = [json.loads(ln) for ln in
-            open(path, encoding="utf-8").read().splitlines()[len(kept):]]
+            Path(path).read_text(encoding="utf-8").splitlines()[len(kept):]]
     assert len(tail) == 3
-
-
-def test_scan_family_rejects_bad_worker_count():
-    with pytest.raises(MalformedInput):
-        scan_family(FamilySpec("triplegap", 5, 5), workers=0)
 
 
 def test_report_bytes_are_canonical_json():
