@@ -11,6 +11,9 @@ Conventions
   downstream depends on them.
 * Discrete-log and exponential tables are built at construction, so field
   size is capped (default 2^21 elements, ISOSLOPE_TABLE_LIMIT overrides).
+  field_create() checks the cap on every call and returns one shared field
+  per (p, m); tables derived from fields are memoized with functools.cache,
+  keyed by the field object itself.
 * A truncated p-adic integer is a residue mod p^N together with N.  Residue
   zero means "divisible by p^N": its valuation is reported as a censored
   lower bound, never as an exact value.
@@ -18,6 +21,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,9 +79,7 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def table_limit_from_env(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
+def table_limit_from_env() -> int:
     raw = os.environ.get(TABLE_LIMIT_ENV)
     if raw is not None:
         try:
@@ -179,24 +181,32 @@ def _is_irreducible(f, p):
 # the extension field
 # ---------------------------------------------------------------------------
 
+def _checked_field_size(p: int, m: int) -> int:
+    """p^m, after checking p, m and the table limit."""
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    if m < 1:
+        raise MalformedInput(f"extension degree must be >= 1, got {m}")
+    limit = table_limit_from_env()
+    q = p ** m
+    if q > limit:
+        raise DegreeTooLarge(
+            f"GF({p}^{m}) has {q} elements, over the table limit {limit}"
+        )
+    return q
+
+
 class ExtField:
     """GF(p^m) with integer-encoded elements and full dlog/exp tables.
 
-    Use field_create() rather than constructing directly; fields are cached
-    and never mutated after construction.
+    Construction checks the table limit.  Use field_create() rather than
+    constructing directly: it shares one field per (p, m), and the memoized
+    tables downstream are keyed by that field object.  Fields are never
+    mutated after construction.
     """
 
-    def __init__(self, p: int, m: int, table_limit: int | None = None):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        if m < 1:
-            raise MalformedInput(f"extension degree must be >= 1, got {m}")
-        limit = table_limit_from_env(table_limit)
-        q = p ** m
-        if q > limit:
-            raise DegreeTooLarge(
-                f"GF({p}^{m}) has {q} elements, over the table limit {limit}"
-            )
+    def __init__(self, p: int, m: int):
+        q = _checked_field_size(p, m)
         self.p = p
         self.m = m
         self.q = q
@@ -358,18 +368,14 @@ def norm(field: ExtField, y: int) -> int:
     return val
 
 
-_FIELD_CACHE: dict[tuple[int, int, int], ExtField] = {}
+_shared_field = functools.cache(ExtField)
 
 
-def field_create(p: int, m: int, table_limit: int | None = None) -> ExtField:
-    """Cached constructor for GF(p^m)."""
-    limit = table_limit_from_env(table_limit)
-    key = (p, m, limit)
-    fld = _FIELD_CACHE.get(key)
-    if fld is None:
-        fld = ExtField(p, m, limit)
-        _FIELD_CACHE[key] = fld
-    return fld
+def field_create(p: int, m: int) -> ExtField:
+    """GF(p^m), built once per (p, m).  The table limit is checked on every
+    call, so a lowered limit refuses a field that is already built."""
+    _checked_field_size(p, m)
+    return _shared_field(p, m)
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +477,6 @@ class PadicResidue:
 # Teichmueller lifts and multiplicative character values
 # ---------------------------------------------------------------------------
 
-_TEICH_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
 def teichmuller(p: int, y: int, precision: int) -> int:
     """Teichmueller lift of y mod p^precision.
 
@@ -494,35 +497,15 @@ def teichmuller(p: int, y: int, precision: int) -> int:
     return t
 
 
+@functools.cache
 def teichmuller_table(p: int, precision: int) -> tuple[int, ...]:
-    """teichmuller(p, y, precision) for y = 0..p-1, cached."""
-    key = (p, precision)
-    tab = _TEICH_CACHE.get(key)
-    if tab is None:
-        tab = tuple(teichmuller(p, y, precision) for y in range(p))
-        _TEICH_CACHE[key] = tab
-    return tab
-
-
-def char_value(field: ExtField, c: int, y: int, precision: int) -> PadicResidue:
-    """tau(norm(y))^c mod p^precision, with value 0 at y = 0.
-
-    tau is multiplicative, so tau(a)^c = tau(a^c mod p); one Teichmueller
-    table per (p, precision) serves every exponent.
-    """
-    if y == 0:
-        return PadicResidue(field.p, precision, 0)
-    base = norm(field, y)
-    tab = teichmuller_table(field.p, precision)
-    return PadicResidue(field.p, precision, tab[pow(base, c, field.p)])
+    """teichmuller(p, y, precision) for y = 0..p-1."""
+    return tuple(teichmuller(p, y, precision) for y in range(p))
 
 
 # ---------------------------------------------------------------------------
 # field embeddings (needed to read traces of a degree-m point over GF(p^(mj)))
 # ---------------------------------------------------------------------------
-
-_EMBED_CACHE: dict[tuple[int, int, int, int], int] = {}
-
 
 def _min_poly(field: ExtField, a: int):
     """Minimal polynomial of a over GF(p), as GF(p) coefficients."""
@@ -542,6 +525,7 @@ def _min_poly(field: ExtField, a: int):
     return out
 
 
+@functools.cache
 def embed_generator_dlog(small: ExtField, big: ExtField) -> int:
     """dlog (in `big`) of the image of small.generator under a field embedding.
 
@@ -553,10 +537,6 @@ def embed_generator_dlog(small: ExtField, big: ExtField) -> int:
         raise FieldMismatch(
             f"no embedding GF({small.p}^{small.m}) -> GF({big.p}^{big.m})"
         )
-    key = (small.p, small.m, big.m, big.q)
-    hit = _EMBED_CACHE.get(key)
-    if hit is not None:
-        return hit
     if small.m == big.m:
         result = big.dlog[small.generator] if small.q == big.q else None
         if result is None:  # pragma: no cover
@@ -575,7 +555,6 @@ def embed_generator_dlog(small: ExtField, big: ExtField) -> int:
                 break
         if result is None:  # pragma: no cover
             raise AssertionError("no embedding found")
-    _EMBED_CACHE[key] = result
     return result
 
 

@@ -1,17 +1,14 @@
 """Exact cyclic convolution of integer sequences modulo p^N.
 
-Schoolbook is the reference; above a small size the same contract is served
-by packing each sequence into one big integer (fixed-width slots sized so
-no linear-convolution coefficient can overflow its slot) and letting
-CPython's big-integer multiply do the work.  Both paths are exact; a unit
-test keeps them agreeing on random inputs.
+cyclic_convolve packs each sequence into one big integer (fixed-width slots
+sized so no linear-convolution coefficient can overflow its slot) and lets
+CPython's big-integer multiply do the work, at every length.  The schoolbook
+loop is kept only as the independent oracle the tests compare it with.
 """
 
 from __future__ import annotations
 
 from .errors import MalformedInput
-
-_SCHOOLBOOK_MAX = 64
 
 
 def cyclic_convolve_schoolbook(a, b, modulus: int):
@@ -29,7 +26,12 @@ def cyclic_convolve_schoolbook(a, b, modulus: int):
     return [v % modulus for v in out]
 
 
-def _packed_convolve(a, b, modulus: int):
+def cyclic_convolve(a, b, modulus: int):
+    """Cyclic convolution mod `modulus`: out[k] = sum_{i+j=k mod n} a_i b_j."""
+    if modulus < 2:
+        raise MalformedInput(f"modulus must be >= 2, got {modulus}")
+    if len(a) != len(b):
+        raise MalformedInput(f"length mismatch: {len(a)} vs {len(b)}")
     n = len(a)
     # every linear-convolution coefficient is < n * modulus^2
     bound = n * (modulus - 1) * (modulus - 1) + 1
@@ -51,14 +53,3 @@ def _packed_convolve(a, b, modulus: int):
         hi = int.from_bytes(raw[hi_off:hi_off + slot_bytes], "little")
         out.append((lo + hi) % modulus)
     return out
-
-
-def cyclic_convolve(a, b, modulus: int):
-    """Cyclic convolution mod `modulus`: out[k] = sum_{i+j=k mod n} a_i b_j."""
-    if modulus < 2:
-        raise MalformedInput(f"modulus must be >= 2, got {modulus}")
-    if len(a) != len(b):
-        raise MalformedInput(f"length mismatch: {len(a)} vs {len(b)}")
-    if len(a) <= _SCHOOLBOOK_MAX:
-        return cyclic_convolve_schoolbook(a, b, modulus)
-    return _packed_convolve(a, b, modulus)

@@ -23,6 +23,7 @@ as a censored bound and can only certify, never shape, the polygon.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -87,6 +88,7 @@ def is_self_dual(datum: HypergeometricDatum) -> bool:
 # the mod-p degeneracy polynomial
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def unit_root_poly(datum: HypergeometricDatum) -> tuple[int, ...]:
     """Coefficients (low first) of the mod-p polynomial whose norm at x is
     the unit-root Frobenius eigenvalue: coefficient of X^r is
@@ -224,60 +226,42 @@ def closed_points(field: ExtField) -> list[PointSpec]:
 
 
 # ---------------------------------------------------------------------------
-# trace tables (dlog domain)
+# trace tables (dlog domain), memoized per field object from field_create
 # ---------------------------------------------------------------------------
 
-_NORM_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
-_CHAR_CACHE: dict[tuple, tuple[int, ...]] = {}
-_TRACE_CACHE: dict[tuple, list[int]] = {}
-
-
+@functools.cache
 def _norm_one_minus_table(field: ExtField) -> tuple[int, ...]:
     """norm(1 - g^e) in GF(p), indexed by e; entry 0 (x = 1) is 0."""
-    key = (field.p, field.m)
-    hit = _NORM_CACHE.get(key)
-    if hit is not None:
-        return hit
-    result = tuple(norm(field, field.sub(1, field.exp[e])) for e in range(field.q - 1))
-    _NORM_CACHE[key] = result
-    return result
+    return tuple(norm(field, field.sub(1, field.exp[e])) for e in range(field.q - 1))
 
 
+@functools.cache
 def _char_dlog_table(field: ExtField, c: int, precision: int) -> tuple[int, ...]:
     """tau(norm(1 - g^e))^c mod p^N, indexed by e."""
-    key = (field.p, field.m, c, precision)
-    hit = _CHAR_CACHE.get(key)
-    if hit is not None:
-        return hit
     p = field.p
     norms = _norm_one_minus_table(field)
     tau = teichmuller_table(p, precision)
     powmap = [0] + [pow(v, c, p) for v in range(1, p)]
-    result = tuple(tau[powmap[nm]] if nm else 0 for nm in norms)
-    _CHAR_CACHE[key] = result
-    return result
+    return tuple(tau[powmap[nm]] if nm else 0 for nm in norms)
 
 
-def _trace_table(datum: HypergeometricDatum, field: ExtField, precision: int) -> list[int]:
+@functools.cache
+def _trace_table(datum: HypergeometricDatum, field: ExtField,
+                 precision: int) -> tuple[int, ...]:
     """Raw tuple sums indexed by target dlog, mod p^precision.
 
     Entry e is sum over unit tuples with product g^e of prod char values;
     no rank sign applied here.
     """
-    key = (field.p, field.m, datum.c, precision)
-    hit = _TRACE_CACHE.get(key)
-    if hit is not None:
-        return hit
     modulus = datum.p ** precision
     acc = list(_char_dlog_table(field, datum.c[0], precision))
     for ci in datum.c[1:]:
         acc = cyclic_convolve(acc, _char_dlog_table(field, ci, precision), modulus)
-    _TRACE_CACHE[key] = acc
-    return acc
+    return tuple(acc)
 
 
 def frobenius_trace(datum: HypergeometricDatum, point: PointSpec, j: int,
-                    precision: int, table_limit: int | None = None) -> PadicResidue:
+                    precision: int) -> PadicResidue:
     """Trace of the j-th Frobenius power at the point, mod p^precision.
 
     Equals (-1)^(n-1) times the tuple sum over GF(p^(m j)): the rank shift
@@ -290,7 +274,7 @@ def frobenius_trace(datum: HypergeometricDatum, point: PointSpec, j: int,
         raise DatumMismatch(
             f"point lives over GF({point.field.p}^{point.field.m}), datum has p = {datum.p}"
         )
-    big = field_create(datum.p, point.field.m * j, table_limit)
+    big = field_create(datum.p, point.field.m * j)
     y = embed_element(point.field, big, point.x)
     raw = _trace_table(datum, big, precision)[big.dlog[y]]
     if datum.n % 2 == 0:
@@ -304,14 +288,13 @@ def frobenius_trace(datum: HypergeometricDatum, point: PointSpec, j: int,
 
 @dataclass(frozen=True)
 class CharPolyData:
-    """Valuations (and computed residues) of the coefficients b_0..b_n."""
+    """Valuations of the coefficients b_0..b_n."""
 
     datum: HypergeometricDatum
     point: PointSpec
     strategy: str
     precision: int
     valuations: tuple[Valuation, ...]
-    residues: dict[int, PadicResidue]
 
 
 def resolve_strategy(datum: HypergeometricDatum, strategy: str) -> str:
@@ -347,9 +330,9 @@ def _trace_jmax(n: int, strategy: str) -> int:
 
 
 def _power_traces(datum: HypergeometricDatum, point: PointSpec, jmax: int,
-                  precision: int, table_limit) -> dict[int, PadicResidue]:
+                  precision: int) -> dict[int, PadicResidue]:
     return {
-        j: frobenius_trace(datum, point, j, precision, table_limit)
+        j: frobenius_trace(datum, point, j, precision)
         for j in range(1, jmax + 1)
     }
 
@@ -373,8 +356,8 @@ def _shift(val: Valuation, delta: int) -> Valuation:
 
 
 def char_poly_valuations(datum: HypergeometricDatum, point: PointSpec,
-                         strategy: str = "auto", precision: int | None = None,
-                         table_limit: int | None = None) -> CharPolyData:
+                         strategy: str = "auto",
+                         precision: int | None = None) -> CharPolyData:
     """Valuations of b_0..b_n at the point, by the requested strategy.
 
     full computes traces j <= n; det stops at n-1 and takes v(b_n) from the
@@ -392,9 +375,8 @@ def char_poly_valuations(datum: HypergeometricDatum, point: PointSpec,
         raise MalformedInput(f"precision must be >= 1, got {precision}")
 
     jmax = _trace_jmax(n, strategy)
-    traces = _power_traces(datum, point, jmax, precision, table_limit)
+    traces = _power_traces(datum, point, jmax, precision)
     b = _coeffs_from_traces(traces, p, precision, jmax)
-    residues = {r: b[r] for r in range(1, jmax + 1)}
 
     alpha = unit_root_eval(datum, point)
     if jmax >= 1 and (b[1].value + alpha) % p != 0:
@@ -422,8 +404,7 @@ def char_poly_valuations(datum: HypergeometricDatum, point: PointSpec,
             partner_vals = vals
         else:
             # partner coefficients come from the dual datum's own traces
-            ptraces = _power_traces(dual_datum(datum), point, jmax, precision,
-                                    table_limit)
+            ptraces = _power_traces(dual_datum(datum), point, jmax, precision)
             pb = _coeffs_from_traces(ptraces, p, precision, jmax)
             alpha_d = unit_root_eval(dual_datum(datum), point)
             if (pb[1].value + alpha_d) % p != 0:
@@ -444,7 +425,7 @@ def char_poly_valuations(datum: HypergeometricDatum, point: PointSpec,
     if any(v is None for v in vals):
         raise AssertionError("strategy left a coefficient undetermined")
 
-    return CharPolyData(datum, point, strategy, precision, tuple(vals), residues)
+    return CharPolyData(datum, point, strategy, precision, tuple(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +478,8 @@ def _assert_report_sane(report: SlopeReport):
 
 
 def slopes_at_point(datum: HypergeometricDatum, point: PointSpec,
-                    strategy: str = "auto", precision: int | None = None,
-                    table_limit: int | None = None) -> SlopeReport:
+                    strategy: str = "auto",
+                    precision: int | None = None) -> SlopeReport:
     """Slope vector at one closed point.
 
     Generic fast path, automatic strategy only: for n <= 3, when neither the
@@ -526,7 +507,7 @@ def slopes_at_point(datum: HypergeometricDatum, point: PointSpec,
         _assert_report_sane(report)
         return report
 
-    cpd = char_poly_valuations(datum, point, strategy, precision, table_limit)
+    cpd = char_poly_valuations(datum, point, strategy, precision)
     polygon = lower_hull([HullPoint(r, v) for r, v in enumerate(cpd.valuations)])
     sv = slopes_descending(polygon, point.field.m)
     gaps, max_gap, violates = gap_profile(sv)

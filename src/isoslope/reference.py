@@ -11,6 +11,8 @@ paths checks the whole dlog machinery against first principles.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .arith import ExtField, teichmuller_table
@@ -21,20 +23,14 @@ MAX_VECTOR_MODULUS = 3_000_000_000
 # (q, q) int32 table: 4096^2 * 4 bytes = 67 MB worst case
 _MAX_TABLE_Q = 1 << 12
 
-_PRODUCT_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_CHAR_CACHE: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
 
-
+@functools.cache
 def char_values_by_element(field: ExtField, c: int, precision: int) -> tuple[int, ...]:
     """tau(norm(1 - y))^c mod p^N indexed by the element encoding of y.
 
     Norms go through _pow_raw (plain polynomial powering), not the dlog
     tables.
     """
-    key = (field.p, field.m, c, precision)
-    hit = _CHAR_CACHE.get(key)
-    if hit is not None:
-        return hit
     p, q = field.p, field.q
     stride = (q - 1) // (p - 1)
     tau = teichmuller_table(p, precision)
@@ -47,11 +43,10 @@ def char_values_by_element(field: ExtField, c: int, precision: int) -> tuple[int
         if nm >= p:  # pragma: no cover
             raise AssertionError("norm left the prime field")
         out[y] = tau[pow(nm, c, p)]
-    result = tuple(out)
-    _CHAR_CACHE[key] = result
-    return result
+    return tuple(out)
 
 
+@functools.cache
 def element_product_table(field: ExtField) -> np.ndarray:
     """(q, q) array with table[a, b] = a * b, from mult-by-a matrices.
 
@@ -59,10 +54,6 @@ def element_product_table(field: ExtField) -> np.ndarray:
     rows are the digits of a * X^i; only the m products a * X^i per row use
     field arithmetic, and those go through _mul_raw.
     """
-    key = (field.p, field.m)
-    hit = _PRODUCT_CACHE.get(key)
-    if hit is not None:
-        return hit
     p, m, q = field.p, field.m, field.q
     if q > _MAX_TABLE_Q:
         raise DegreeTooLarge(f"element product table capped at q <= {_MAX_TABLE_Q}")
@@ -81,7 +72,7 @@ def element_product_table(field: ExtField) -> np.ndarray:
                 img, d = divmod(img, p)
                 mat[i, k] = d
         table[a] = ((digits @ mat) % p) @ powers
-    _PRODUCT_CACHE[key] = table
+    table.flags.writeable = False  # shared by every caller of the cache
     return table
 
 

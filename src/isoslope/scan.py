@@ -83,17 +83,16 @@ def family_members(spec: FamilySpec) -> list[HypergeometricDatum]:
     return out
 
 
-def scan_points(datum: HypergeometricDatum, m_max: int = 1,
-                strategy: str = "auto") -> list[SlopeReport]:
-    """Slope report at every closed point of degree <= m_max, ordered by
-    degree then representative dlog."""
+def scan_points(datum: HypergeometricDatum, m_max: int = 1) -> list[SlopeReport]:
+    """Slope report (automatic strategy) at every closed point of degree
+    <= m_max, ordered by degree then representative dlog."""
     if m_max < 1:
         raise MalformedInput(f"need m_max >= 1, got {m_max}")
     out = []
     for degree in range(1, m_max + 1):
         field = field_create(datum.p, degree)
         for pt in closed_points(field):
-            out.append(slopes_at_point(datum, pt, strategy))
+            out.append(slopes_at_point(datum, pt))
     return out
 
 
@@ -293,11 +292,11 @@ class _Checkpoint:
             self._fh = None
 
 
-def scan_family(spec: FamilySpec, checkpoint: str | None = None,
-                strategy: str = "auto") -> CounterexampleReport:
-    """Run the family sweep point by point and aggregate a deterministic
-    report.  Points whose records are already in the checkpoint are not
-    recomputed; every new record is appended to it as soon as it exists.
+def scan_family(spec: FamilySpec, checkpoint: str | None = None) -> CounterexampleReport:
+    """Run the family sweep point by point, with the automatic strategy, and
+    aggregate a deterministic report.  Points whose records are already in
+    the checkpoint are not recomputed; every new record is appended to it as
+    soon as it exists.
     """
     t0 = time.monotonic()
     datums = family_members(spec)
@@ -307,7 +306,7 @@ def scan_family(spec: FamilySpec, checkpoint: str | None = None,
             for degree in range(1, spec.m_max + 1):
                 for pt in closed_points(field_create(datum.p, degree)):
                     if (datum.p, datum.c, degree, pt.dlog) not in store.records:
-                        store.add(point_record(slopes_at_point(datum, pt, strategy)))
+                        store.add(point_record(slopes_at_point(datum, pt)))
     finally:
         store.close()
 

@@ -19,7 +19,6 @@ from isoslope.arith import (
     ExtField,
     PadicResidue,
     Valuation,
-    char_value,
     embed_element,
     field_create,
     is_prime,
@@ -109,23 +108,31 @@ def test_frobenius_orbits_and_degree():
     assert f.frobenius(a) == f.pow(a, 7)
 
 
-def test_field_size_cap():
+def test_field_size_cap(monkeypatch):
+    f = field_create(7, 2)
+    # the limit is checked on every call, not only when the field is built
+    monkeypatch.setenv("ISOSLOPE_TABLE_LIMIT", "10")
     with pytest.raises(DegreeTooLarge):
-        ExtField(31, 4, table_limit=10 ** 5)
-    # cache key includes the limit, so a small limit never poisons the default
-    assert field_create(7, 2, table_limit=50).q == 49
+        field_create(7, 2)
+    with pytest.raises(DegreeTooLarge):
+        ExtField(7, 2)
+    monkeypatch.delenv("ISOSLOPE_TABLE_LIMIT")
+    # one field per (p, m): the refusal neither rebuilt nor evicted it
+    assert field_create(7, 2) is f
 
 
 def test_table_limit_env_parsing(monkeypatch):
+    field_create(3, 1)
     monkeypatch.setenv("ISOSLOPE_TABLE_LIMIT", "notanint")
     with pytest.raises(MalformedInput):
-        ExtField(3, 1)
+        field_create(3, 1)
     monkeypatch.setenv("ISOSLOPE_TABLE_LIMIT", "1")
     with pytest.raises(MalformedInput):
         ExtField(3, 1)
     monkeypatch.setenv("ISOSLOPE_TABLE_LIMIT", "100")
     with pytest.raises(DegreeTooLarge):
-        ExtField(11, 2)
+        field_create(11, 2)
+    assert field_create(3, 2).q == 9
 
 
 def test_teichmuller_frozen_value():
@@ -158,17 +165,6 @@ def test_teichmuller_table_matches_pointwise():
     assert len(tab) == 11
     for y in range(11):
         assert tab[y] == teichmuller(11, y, 3)
-
-
-def test_char_value_multiplicative_in_the_point():
-    f = field_create(7, 2)
-    c, prec = 3, 2
-    assert char_value(f, c, 0, prec).value == 0
-    for y1 in range(1, f.q):
-        y2 = f.generator
-        lhs = char_value(f, c, f.mul(y1, y2), prec)
-        rhs = char_value(f, c, y1, prec) * char_value(f, c, y2, prec)
-        assert lhs.value == rhs.value
 
 
 def test_padic_residue_valuations():

@@ -1,6 +1,7 @@
 """CLI exit codes, JSON error payloads, and format parity.
 
-Everything drives main(argv) in-process and reads capsys; no subprocesses.
+Everything drives main(argv) in-process and reads capsys, except one check
+in a fresh interpreter that the CLI runs without numpy.
 Exit code contract: 0 success, 2 well-posed but refused (structured JSON on
 stdout), 64 malformed usage (message on stderr).
 """
@@ -8,12 +9,16 @@ stdout), 64 malformed usage (message on stderr).
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import isoslope
 from isoslope.cli import main
 
 _SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "output_record.schema.json"
@@ -107,6 +112,20 @@ def test_table_limit_env(capsys, monkeypatch):
                        "--m", "2", "--x", "1,1")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "DegreeTooLarge"
+
+
+def test_cli_does_not_load_numpy():
+    # numpy serves only the reference oracle, a test dependency
+    code = ("import sys\n"
+            "from isoslope.cli import main\n"
+            "rc = main(['slopes', '--p', '7', '--c', '1,3,5', '--strategy', 'full'])\n"
+            "assert rc == 0, rc\n"
+            "assert 'numpy' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(isoslope.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == 5  # one record per degree-1 point
 
 
 def test_missing_required_argument(capsys):

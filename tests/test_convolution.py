@@ -1,4 +1,5 @@
-"""Cyclic convolution: schoolbook against the packed big-integer path."""
+"""Cyclic convolution: the packed big-integer path against the schoolbook
+oracle."""
 
 from __future__ import annotations
 
@@ -8,11 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoslope.convolution import (
-    _packed_convolve,
-    cyclic_convolve,
-    cyclic_convolve_schoolbook,
-)
+from isoslope.convolution import cyclic_convolve, cyclic_convolve_schoolbook
 from isoslope.errors import MalformedInput
 
 
@@ -32,9 +29,8 @@ def test_both_paths_agree_on_seeded_sweep():
         for modulus in (2, 3, 7 ** 3, 31 ** 5, 13 ** 14):
             a = [rng.randrange(modulus) for _ in range(n)]
             b = [rng.randrange(modulus) for _ in range(n)]
-            school = cyclic_convolve_schoolbook(a, b, modulus)
-            assert _packed_convolve(a, b, modulus) == school
-            assert cyclic_convolve(a, b, modulus) == school
+            assert cyclic_convolve(a, b, modulus) == \
+                cyclic_convolve_schoolbook(a, b, modulus)
 
 
 def test_commutative():
@@ -42,15 +38,6 @@ def test_commutative():
     a = [rng.randrange(343) for _ in range(70)]
     b = [rng.randrange(343) for _ in range(70)]
     assert cyclic_convolve(a, b, 343) == cyclic_convolve(b, a, 343)
-
-
-def test_dispatch_thresholds():
-    # length 64 stays schoolbook, 65 goes packed; both must match anyway
-    rng = random.Random(7)
-    for n in (64, 65):
-        a = [rng.randrange(125) for _ in range(n)]
-        b = [rng.randrange(125) for _ in range(n)]
-        assert cyclic_convolve(a, b, 125) == cyclic_convolve_schoolbook(a, b, 125)
 
 
 def test_input_validation():
@@ -66,5 +53,5 @@ def test_paths_agree_on_random_inputs(modulus, data):
     n = data.draw(st.integers(1, 80))
     a = data.draw(st.lists(st.integers(0, modulus - 1), min_size=n, max_size=n))
     b = data.draw(st.lists(st.integers(0, modulus - 1), min_size=n, max_size=n))
-    assert _packed_convolve(a, b, modulus) == \
+    assert cyclic_convolve(a, b, modulus) == \
         cyclic_convolve_schoolbook(a, b, modulus)

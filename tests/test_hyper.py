@@ -24,6 +24,7 @@ from isoslope.errors import (
 )
 from isoslope.hyper import (
     HypergeometricDatum,
+    _trace_table,
     auto_precision,
     char_poly_valuations,
     closed_points,
@@ -152,7 +153,7 @@ def test_engines_agree_bit_exactly():
 
 
 def test_engines_agree_above_the_packing_cutoff():
-    # GF(7^3) has 342 units, well past the schoolbook convolution window
+    # GF(7^3) has 342 units: one long packed convolution per trace table
     d = HypergeometricDatum(7, (2, 3))
     pt = closed_points(field_create(7, 3))[5]
     assert frobenius_trace(d, pt, 1, 3).value == _enumerated_trace(d, pt, 1, 3)
@@ -174,6 +175,22 @@ def test_trace_element_domain_reference_table():
     for pt in closed_points(f):
         want = sign * int(ref[pt.x]) % 7 ** 3
         assert frobenius_trace(d, pt, 1, 3).value == want
+
+
+def test_trace_tables_are_reused_across_points():
+    # c = (1, 11, 4) at p = 13 is not self-dual and its degree-1
+    # degenerate points (roots of u_c = 1 + 8X and u_c' = 1 + 3X) are 8 and
+    # 4; each takes dualpair traces over GF(13) and GF(13^2)
+    d = HypergeometricDatum(13, (1, 11, 4))
+    f = field_create(13, 1)
+    first = slopes_at_point(d, point_spec(f, 8))
+    assert first.degenerate and not first.fast_path
+    before = _trace_table.cache_info()
+    second = slopes_at_point(d, point_spec(f, 4))
+    assert second.dual_degenerate and not second.fast_path
+    after = _trace_table.cache_info()
+    assert after.misses == before.misses
+    assert after.hits > before.hits
 
 
 def test_trace_input_guards():
