@@ -9,8 +9,12 @@ Conventions
   encoding order above; the generator is the first encoded element of full
   multiplicative order p^m - 1.  Both choices are deterministic; nothing
   downstream depends on them.
-* Discrete-log and exponential tables are built at construction, so field
-  size is capped (default 2^21 elements, ISOSLOPE_TABLE_LIMIT overrides).
+* Discrete-log and exponential tables are built at construction and held
+  as array('q') (8 bytes an entry), so field size is capped (default 2^21
+  elements, ISOSLOPE_TABLE_LIMIT overrides).  For m >= 2 and p <= 127 the
+  powers of the generator come from byte-sliced lookup tables reduced with
+  bytes.translate; m = 1, and m = 2 above p = 127, multiply by polynomial
+  arithmetic (_mul_raw), which stays as the oracle for both.
   field_create() checks the cap on every call and returns one shared field
   per (p, m); tables derived from fields are memoized with functools.cache,
   keyed by the field object itself.
@@ -22,7 +26,9 @@ Conventions
 from __future__ import annotations
 
 import functools
+import itertools
 import os
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -199,6 +205,9 @@ def _checked_field_size(p: int, m: int) -> int:
 class ExtField:
     """GF(p^m) with integer-encoded elements and full dlog/exp tables.
 
+    exp[e] = g^e for 0 <= e < q - 1 and dlog[exp[e]] = e, both array('q');
+    dlog[0] = -1.
+
     Construction checks the table limit.  Use field_create() rather than
     constructing directly: it shares one field per (p, m), and the memoized
     tables downstream are keyed by that field object.  Fields are never
@@ -268,18 +277,60 @@ class ExtField:
         raise AssertionError("no generator found")  # pragma: no cover
 
     def _build_tables(self):
-        order = self.q - 1
-        exp = [0] * order
-        dlog = [-1] * self.q
+        if self.m >= 2 and self.p <= 127:
+            powers = self._sliced_powers()
+        else:
+            powers = self._raw_powers()
+        self.exp = array("q", powers)
+        self.dlog = dlog = array("q", [-1]) * self.q
+        for e, x in enumerate(self.exp):
+            dlog[x] = e
+
+    def _raw_powers(self):
+        """g^0 .. g^(q-2) by repeated _mul_raw."""
         cur = 1
-        for e in range(order):
-            exp[e] = cur
-            dlog[cur] = e
+        for _ in range(self.q - 1):
+            yield cur
             cur = self._mul_raw(cur, self.generator)
         if cur != 1:
             raise AssertionError("generator order check failed")  # pragma: no cover
-        self.exp = exp
-        self.dlog = dlog
+
+    def _sliced_powers(self):
+        """g^0 .. g^(q-2) by byte-sliced tables, for m >= 2 and p <= 127.
+
+        An element is "spread" into an int with one byte per base-p digit.
+        Multiplication by g is GF(p)-linear, so the spread of g*a is the
+        digit-wise sum of one table lookup on a's low digits and one on its
+        high digits; each byte of the sum is below 2p - 1 <= 252, so
+        bytes.translate reduces it mod p.  Above its top byte every table
+        value also carries the encoding of its key's digits, and the two
+        halves' encodings add up to the encoding of a itself.
+        """
+        p, m = self.p, self.m
+        width = 8 * m
+        reduce_ = bytes(v % p for v in range(256))
+
+        def half_table(lo, hi):
+            table = {}
+            for digits in itertools.product(range(p), repeat=hi - lo):
+                a = self._encode([0] * lo + list(digits))
+                image = bytes(self._digits_of(self._mul_raw(self.generator, a)))
+                table[int.from_bytes(bytes(digits), "little")] = \
+                    a << width | int.from_bytes(image, "little")
+            return table
+
+        split = m // 2
+        low, high = half_table(0, split), half_table(split, m)
+        low_bits, mask = 8 * split, (1 << width) - 1
+        low_mask = (1 << low_bits) - 1
+        cur = 1
+        for _ in range(self.q - 1):
+            s = low[cur & low_mask] + high[cur >> low_bits]
+            yield s >> width
+            cur = int.from_bytes((s & mask).to_bytes(m, "little").translate(reduce_),
+                                 "little")
+        if cur != 1:
+            raise AssertionError("generator order check failed")  # pragma: no cover
 
     # -- arithmetic -------------------------------------------------------
 

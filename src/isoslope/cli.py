@@ -14,8 +14,10 @@ caps the dlog table size for extension fields.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -108,6 +110,20 @@ def emit_records(records: list[dict], fmt: str, stream) -> None:
         writer.writerow([_csv_cell(rec.get(k)) for k in header])
 
 
+def _write_atomically(path: str, write) -> None:
+    """write(stream) into a temp file beside path, then move it over path,
+    so a failed write leaves an existing file as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -160,19 +176,16 @@ def cmd_scan(args) -> int:
 
     if args.format == "json":
         payload = report.to_bytes().decode()
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
+
+        def write(stream):
+            stream.write(payload)
     else:
-        stream = open(args.out, "w", encoding="utf-8", newline="") if args.out \
-            else sys.stdout
-        try:
+        def write(stream):
             emit_records(list(report.records), args.format, stream)
-        finally:
-            if args.out:
-                stream.close()
+    if args.out:
+        _write_atomically(args.out, write)
+    else:
+        write(sys.stdout)
 
     expected = sum(1 for v in report.violations if v["expected"])
     summary = (f"{spec.kind} p in [{p_min}, {p_max}]: {report.datum_count} datums, "

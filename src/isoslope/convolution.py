@@ -1,14 +1,25 @@
 """Exact cyclic convolution of integer sequences modulo p^N.
 
-cyclic_convolve packs each sequence into one big integer (fixed-width slots
-sized so no linear-convolution coefficient can overflow its slot) and lets
-CPython's big-integer multiply do the work, at every length.  The schoolbook
-loop is kept only as the independent oracle the tests compare it with.
+cyclic_convolve packs each sequence into one decimal.Decimal with fixed-width
+decimal slots, wide enough that no cyclic output coefficient (a sum of n
+products below modulus^2) can overflow its slot, and multiplies the two in
+an unbounded-precision libmpdec context.  libmpdec switches from Karatsuba
+to a number-theoretic transform for large operands, so the multiply is
+quasi-linear.  The product's upper n slots are added onto its lower n (the
+cyclic fold, done on the decimals), and the slots are read back from one
+decimal string.  This needs the C decimal module: under the pure-Python
+_pydecimal the multiply is quadratic.  The schoolbook loop is kept only as
+the independent oracle the tests compare it with.
 """
 
 from __future__ import annotations
 
+import decimal
+
 from .errors import MalformedInput
+
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         Emin=decimal.MIN_EMIN)
 
 
 def cyclic_convolve_schoolbook(a, b, modulus: int):
@@ -33,23 +44,17 @@ def cyclic_convolve(a, b, modulus: int):
     if len(a) != len(b):
         raise MalformedInput(f"length mismatch: {len(a)} vs {len(b)}")
     n = len(a)
-    # every linear-convolution coefficient is < n * modulus^2
-    bound = n * (modulus - 1) * (modulus - 1) + 1
-    slot_bits = -(-bound.bit_length() // 8) * 8  # whole bytes for cheap slicing
-    slot_bytes = slot_bits // 8
+    if not n:
+        return []
+    width = len(str(n * (modulus - 1) ** 2))
 
-    def pack(seq):
-        acc = 0
-        for v in reversed(seq):
-            acc = (acc << slot_bits) | (v % modulus)
-        return acc
+    def pack(seq):  # most significant slot first; one format call, no per-slot strings
+        slots = tuple([v % modulus for v in reversed(seq)])
+        return decimal.Decimal((f"%0{width}d" * n) % slots)
 
-    prod = pack(a) * pack(b)
-    raw = prod.to_bytes(2 * n * slot_bytes, "little")
-    out = []
-    for k in range(n):
-        lo = int.from_bytes(raw[k * slot_bytes:(k + 1) * slot_bytes], "little")
-        hi_off = (k + n) * slot_bytes
-        hi = int.from_bytes(raw[hi_off:hi_off + slot_bytes], "little")
-        out.append((lo + hi) % modulus)
-    return out
+    product = _EXACT.multiply(pack(a), pack(b))
+    half = n * width
+    high = product.scaleb(-half, _EXACT).to_integral_value(decimal.ROUND_DOWN, _EXACT)
+    folded = _EXACT.add(_EXACT.subtract(product, high.scaleb(half, _EXACT)), high)
+    digits = str(folded).zfill(half)
+    return [int(digits[i - width:i]) % modulus for i in range(half, 0, -width)]

@@ -39,6 +39,7 @@ from .arith import (
     teichmuller_table,
 )
 from .convolution import cyclic_convolve
+from .coweight import RootDatum, dominance_leq
 from .errors import (
     DatumMismatch,
     MalformedInput,
@@ -231,8 +232,16 @@ def closed_points(field: ExtField) -> list[PointSpec]:
 
 @functools.cache
 def _norm_one_minus_table(field: ExtField) -> tuple[int, ...]:
-    """norm(1 - g^e) in GF(p), indexed by e; entry 0 (x = 1) is 0."""
-    return tuple(norm(field, field.sub(1, field.exp[e])) for e in range(field.q - 1))
+    """norm(1 - g^e) in GF(p), indexed by e; entry 0 (x = 1) is 0.
+
+    y - 1 borrows only when digit 0 of y is zero, and the norm of
+    1 - y = -(y - 1) is (-1)^m times that of y - 1, since
+    (q - 1)/(p - 1) = 1 + p + .. + p^(m-1) = m mod 2 for odd p (for p = 2
+    the sign is 1 either way).
+    """
+    p = field.p
+    sign = (-1) ** field.m
+    return tuple(sign * norm(field, y - 1 if y % p else y + p - 1) % p for y in field.exp)
 
 
 @functools.cache
@@ -475,6 +484,11 @@ def _assert_report_sane(report: SlopeReport):
             raise AssertionError("second-smallest slope must be positive")
         if vals[1] >= n - 1:
             raise AssertionError("second-largest slope must be below n-1")
+    # specialization: the Newton polygon at a point lies on or above the
+    # generic (Hodge) one; a fast-path vector is the generic one itself
+    if not report.fast_path and not dominance_leq(
+            RootDatum.gl(n), vals, tuple(range(n - 1, -1, -1))):
+        raise AssertionError(f"slopes {vals} exceed the generic polygon")
 
 
 def slopes_at_point(datum: HypergeometricDatum, point: PointSpec,

@@ -61,6 +61,47 @@ def test_exp_dlog_are_inverse_bijections():
             assert f.dlog[f.exp[e]] == e
 
 
+# every m >= 2 field with at most 3000 elements: all take the byte-sliced build
+SLICED_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+                 for m in range(2, 12) if p ** m <= 3000]
+
+
+def _raw_chain(f, count):
+    """g^0 .. g^(count-1) by repeated _mul_raw: the oracle for exp."""
+    out, cur = [], 1
+    for _ in range(count):
+        out.append(cur)
+        cur = f._mul_raw(cur, f.generator)
+    return out
+
+
+def _assert_tables_follow(f, chain):
+    assert f.exp.typecode == f.dlog.typecode == "q"
+    assert list(f.exp[:len(chain)]) == chain
+    assert f.dlog[0] == -1
+    assert all(f.dlog[y] == e for e, y in enumerate(chain))
+
+
+@pytest.mark.parametrize("p, m", SLICED_FIELDS + [(13, 4)])
+def test_sliced_tables_match_the_raw_chain(p, m):
+    f = field_create(p, m)
+    chain = _raw_chain(f, f.q - 1)
+    assert list(f._sliced_powers()) == chain
+    _assert_tables_follow(f, chain)
+
+
+def test_sliced_tables_on_a_prefix_of_gf_7_6():
+    f = field_create(7, 6)
+    _assert_tables_follow(f, _raw_chain(f, 20000))
+
+
+@pytest.mark.parametrize("p, m", [(131, 2), (2, 1), (3, 1), (101, 1), (1009, 1)])
+def test_fallback_tables_match_the_raw_chain(p, m):
+    # m = 1, and m = 2 above p = 127, keep the _mul_raw build
+    f = field_create(p, m)
+    _assert_tables_follow(f, _raw_chain(f, f.q - 1))
+
+
 def test_mul_matches_raw_polynomial_arithmetic():
     rng = random.Random(20260822)
     f = field_create(7, 3)

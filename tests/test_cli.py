@@ -210,6 +210,23 @@ def test_scan_csv_out_file(capsys, tmp_path):
     assert len(lines) == 7 and lines[0].startswith("schema_version,")
 
 
+def test_scan_out_is_replaced_only_when_complete(capsys, tmp_path, monkeypatch):
+    out_path = tmp_path / "records.csv"
+    out_path.write_bytes(b"an earlier report\n")
+
+    def failing_emit(records, fmt, stream):
+        stream.write("schema_version,")
+        raise RuntimeError("writer failed")
+
+    monkeypatch.setattr("isoslope.cli.emit_records", failing_emit)
+    with pytest.raises(RuntimeError, match="writer failed"):
+        main(["scan", "--family", "triplegap", "--p-range", "5", "--format",
+              "csv", "--out", str(out_path)])
+    capsys.readouterr()
+    assert out_path.read_bytes() == b"an earlier report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]
+
+
 def test_scan_explicit_needs_c(capsys):
     code, _, err = run(capsys, "scan", "--family", "explicit", "--p-range", "7")
     assert code == 64

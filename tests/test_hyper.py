@@ -24,6 +24,9 @@ from isoslope.errors import (
 )
 from isoslope.hyper import (
     HypergeometricDatum,
+    SlopeReport,
+    _assert_report_sane,
+    _norm_one_minus_table,
     _trace_table,
     auto_precision,
     char_poly_valuations,
@@ -40,6 +43,7 @@ from isoslope.hyper import (
     unit_root_poly,
 )
 from isoslope import reference
+from isoslope.polygon import SlopeVector
 
 
 def F(*args):
@@ -152,8 +156,8 @@ def test_engines_agree_bit_exactly():
     assert frobenius_trace(d, pt2, 1, 3).value == _enumerated_trace(d, pt2, 1, 3)
 
 
-def test_engines_agree_above_the_packing_cutoff():
-    # GF(7^3) has 342 units: one long packed convolution per trace table
+def test_engines_agree_over_an_extension_field():
+    # GF(7^3) has 342 units: the trace table is one length-342 convolution
     d = HypergeometricDatum(7, (2, 3))
     pt = closed_points(field_create(7, 3))[5]
     assert frobenius_trace(d, pt, 1, 3).value == _enumerated_trace(d, pt, 1, 3)
@@ -175,6 +179,16 @@ def test_trace_element_domain_reference_table():
     for pt in closed_points(f):
         want = sign * int(ref[pt.x]) % 7 ** 3
         assert frobenius_trace(d, pt, 1, 3).value == want
+
+
+@pytest.mark.parametrize("p, m", [
+    (p, m) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+    for m in range(2, 12) if p ** m <= 3000
+] + [(13, 4), (131, 2), (7, 1), (1009, 1)])
+def test_norm_one_minus_table_matches_field_arithmetic(p, m):
+    f = field_create(p, m)
+    assert _norm_one_minus_table(f) == \
+        tuple(norm(f, f.sub(1, f.exp[e])) for e in range(f.q - 1))
 
 
 def test_trace_tables_are_reused_across_points():
@@ -344,6 +358,24 @@ def test_rank_one_and_two_reports():
     rep = slopes_at_point(HypergeometricDatum(7, (2, 4)), point_spec(f, 3),
                           strategy="full")
     assert sum(_slopes(rep)) == 1
+
+
+def test_report_above_the_generic_polygon_is_refused():
+    # (3, 5/2, 1/2, 0) passes the sum, range, flag and second-slope checks,
+    # but its partial sums 3, 11/2 exceed the generic polygon's 3, 5
+    d = HypergeometricDatum(13, (1, 5, 7, 11))
+    pt = point_spec(field_create(13, 1), 2)
+
+    def report(slopes):
+        sv = SlopeVector(slopes)
+        gaps, max_gap, violates = gap_profile(sv)
+        return SlopeReport(d, pt, sv, gaps, max_gap, violates, slopes[-1] > 0,
+                           slopes[0] < 3, "full", 14, False)
+
+    _assert_report_sane(report((3, 2, 1, 0)))
+    _assert_report_sane(report((F(5, 2), F(5, 2), F(1, 2), F(1, 2))))
+    with pytest.raises(AssertionError, match="generic polygon"):
+        _assert_report_sane(report((3, F(5, 2), F(1, 2), 0)))
 
 
 def test_slopes_at_point_guards():
