@@ -82,7 +82,6 @@ from .scan import (
     point_record,
     predicted_violation_points,
     scan_family,
-    scan_points,
     verify_triple_gap_uniqueness,
 )
 

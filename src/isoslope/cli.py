@@ -35,14 +35,7 @@ from .coweight import (
 )
 from .errors import IsoslopeError, MalformedInput, PrecisionInsufficient
 from .hyper import HypergeometricDatum, closed_points, point_spec, slopes_at_point
-from .scan import (
-    SCHEMA_VERSION,
-    FamilySpec,
-    point_record,
-    rational_str,
-    scan_family,
-    triple_gap_failures,
-)
+from .scan import SCHEMA_VERSION, FamilySpec, point_record, rational_str, scan_family
 
 EX_OK = 0
 EX_MATH = 2
@@ -195,9 +188,9 @@ def cmd_scan(args) -> int:
     print(summary, file=sys.stderr)
 
     if spec.kind == "triplegap":
-        failures = triple_gap_failures(report)
-        if failures:
-            print(f"triple-gap uniqueness FAILED at {failures}", file=sys.stderr)
+        if report.triple_gap_failures:
+            print(f"triple-gap uniqueness FAILED at {list(report.triple_gap_failures)}",
+                  file=sys.stderr)
             return EX_MATH
         print("all triple-gap uniqueness checks passed", file=sys.stderr)
     return EX_OK
@@ -229,13 +222,16 @@ def cmd_hecke(args) -> int:
 
 def _parse_datum_type(text: str) -> RootDatum:
     low = text.strip()
-    if low.upper().startswith("GL"):
-        return RootDatum.gl(int(low[2:]))
-    if low.upper().startswith("SL"):
-        return RootDatum.sl(int(low[2:]))
-    if low.startswith("cartan:"):
-        with open(low.split(":", 1)[1], encoding="utf-8") as fh:
-            return RootDatum.from_cartan(json.load(fh))
+    try:
+        if low.upper().startswith("GL"):
+            return RootDatum.gl(int(low[2:]))
+        if low.upper().startswith("SL"):
+            return RootDatum.sl(int(low[2:]))
+        if low.startswith("cartan:"):
+            with open(low.split(":", 1)[1], encoding="utf-8") as fh:
+                return RootDatum.from_cartan(json.load(fh))
+    except (OSError, ValueError) as exc:
+        raise MalformedInput(f"bad datum type {text!r}: {exc}") from None
     raise MalformedInput(f"unknown datum type {text!r}; use GLn, SLn, or cartan:<file>")
 
 

@@ -14,6 +14,7 @@ Fractions throughout.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -64,7 +65,10 @@ class RootDatum:
 
     @staticmethod
     def from_cartan(rows: Sequence[Sequence[int]]) -> "RootDatum":
-        mat = tuple(tuple(int(v) for v in row) for row in rows)
+        try:
+            mat = tuple(tuple(operator.index(v) for v in row) for row in rows)
+        except TypeError:
+            raise MalformedInput("Cartan matrix must be a list of integer rows") from None
         r = len(mat)
         if r == 0:
             raise MalformedInput("empty Cartan matrix")

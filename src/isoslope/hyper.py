@@ -175,7 +175,6 @@ class PointSpec:
 
     field: ExtField
     x: int
-    requested: int
 
     @property
     def degree(self) -> int:
@@ -198,7 +197,7 @@ def point_spec(field: ExtField, x: int) -> PointSpec:
             f"build it over GF({field.p}^{len(orbit)})"
         )
     canon = min(orbit, key=lambda y: field.dlog[y])
-    return PointSpec(field, canon, x)
+    return PointSpec(field, canon)
 
 
 def closed_points(field: ExtField) -> list[PointSpec]:
@@ -222,7 +221,7 @@ def closed_points(field: ExtField) -> list[PointSpec]:
         if len(orbit) == m:
             rep = field.exp[min(orbit)]
             if rep != 1:
-                out.append(PointSpec(field, rep, rep))
+                out.append(PointSpec(field, rep))
     return out
 
 
@@ -245,27 +244,26 @@ def _norm_one_minus_table(field: ExtField) -> tuple[int, ...]:
 
 
 @functools.cache
-def _char_dlog_table(field: ExtField, c: int, precision: int) -> tuple[int, ...]:
-    """tau(norm(1 - g^e))^c mod p^N, indexed by e."""
-    p = field.p
-    norms = _norm_one_minus_table(field)
-    tau = teichmuller_table(p, precision)
-    powmap = [0] + [pow(v, c, p) for v in range(1, p)]
-    return tuple(tau[powmap[nm]] if nm else 0 for nm in norms)
-
-
-@functools.cache
 def _trace_table(datum: HypergeometricDatum, field: ExtField,
                  precision: int) -> tuple[int, ...]:
     """Raw tuple sums indexed by target dlog, mod p^precision.
 
     Entry e is sum over unit tuples with product g^e of prod char values;
-    no rank sign applied here.
+    no rank sign applied here.  The character row of c_i holds
+    tau(norm(1 - g^e))^c_i mod p^N at e, read through a length-p row of
+    tau(v)^c_i over the residues v.
     """
-    modulus = datum.p ** precision
-    acc = list(_char_dlog_table(field, datum.c[0], precision))
+    p = datum.p
+    norms = _norm_one_minus_table(field)
+    tau = teichmuller_table(p, precision)
+
+    def char_row(c: int) -> list[int]:
+        row = [0] + [tau[pow(v, c, p)] for v in range(1, p)]
+        return [row[nm] for nm in norms]
+
+    acc = char_row(datum.c[0])
     for ci in datum.c[1:]:
-        acc = cyclic_convolve(acc, _char_dlog_table(field, ci, precision), modulus)
+        acc = cyclic_convolve(acc, char_row(ci), p ** precision)
     return tuple(acc)
 
 
@@ -409,17 +407,15 @@ def char_poly_valuations(datum: HypergeometricDatum, point: PointSpec,
             raise AssertionError("b_n censored above the determinant valuation")
 
     if strategy in ("selfdual", "dualpair"):
-        if strategy == "selfdual":
-            partner_vals = vals
-        else:
-            # partner coefficients come from the dual datum's own traces
-            ptraces = _power_traces(dual_datum(datum), point, jmax, precision)
-            pb = _coeffs_from_traces(ptraces, p, precision, jmax)
-            alpha_d = unit_root_eval(dual_datum(datum), point)
-            if (pb[1].value + alpha_d) % p != 0:
-                raise AssertionError("dual b_1 disagrees with its mod-p value")
-            partner_vals = [Valuation.exact(0)] + [pb[r].valuation()
-                                                   for r in range(1, jmax + 1)]
+        # partner coefficients come from the dual datum's own traces; a
+        # self-dual datum is its own dual, so they are trace-table hits
+        dual = dual_datum(datum)
+        pb = _coeffs_from_traces(_power_traces(dual, point, jmax, precision),
+                                 p, precision, jmax)
+        if (pb[1].value + unit_root_eval(dual, point)) % p != 0:
+            raise AssertionError("dual b_1 disagrees with its mod-p value")
+        partner_vals = [Valuation.exact(0)] + [pb[r].valuation()
+                                               for r in range(1, jmax + 1)]
         h = (n + 1) // 2
         for s_idx in range(h + 1, n):
             delta = m * (n - 1) * (2 * s_idx - n) // 2

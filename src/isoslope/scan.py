@@ -83,19 +83,6 @@ def family_members(spec: FamilySpec) -> list[HypergeometricDatum]:
     return out
 
 
-def scan_points(datum: HypergeometricDatum, m_max: int = 1) -> list[SlopeReport]:
-    """Slope report (automatic strategy) at every closed point of degree
-    <= m_max, ordered by degree then representative dlog."""
-    if m_max < 1:
-        raise MalformedInput(f"need m_max >= 1, got {m_max}")
-    out = []
-    for degree in range(1, m_max + 1):
-        field = field_create(datum.p, degree)
-        for pt in closed_points(field):
-            out.append(slopes_at_point(datum, pt))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # closed-form expectations
 # ---------------------------------------------------------------------------
@@ -141,7 +128,7 @@ def predicted_violation_points(datum: HypergeometricDatum) -> frozenset[int]:
 
 def verify_triple_gap_uniqueness(p: int, c3: int) -> bool:
     """Scan c = (1, p-2, c3) over the degree-1 points and apply
-    triple_gap_unique to the records."""
+    triple_gap_unique to its records."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p < 5:
@@ -150,8 +137,8 @@ def verify_triple_gap_uniqueness(p: int, c3: int) -> bool:
         raise InvalidC3(f"c3 must lie in [1, {p - 2}], got {c3}")
     if 2 * c3 == p - 1:
         raise InvalidC3(f"c3 = (p-1)/2 = {c3} is excluded")
-    datum = HypergeometricDatum(p, (1, p - 2, c3))
-    return triple_gap_unique(p, c3, [point_record(r) for r in scan_points(datum, 1)])
+    report = scan_family(FamilySpec("explicit", p, p, c=(1, p - 2, c3)))
+    return not report.triple_gap_failures
 
 
 def triple_gap_unique(p: int, c3: int, records) -> bool:
@@ -163,21 +150,6 @@ def triple_gap_unique(p: int, c3: int, records) -> bool:
     want = -pow(2 * c3, p - 2, p) % p
     return len(hits) == 1 and hits[0]["x"] == want and \
         Fraction(hits[0]["slopes"][0]) == 2
-
-
-def triple_gap_failures(report: CounterexampleReport) -> list[tuple[int, int]]:
-    """(p, c3) of every triple-gap datum of the report whose records fail
-    triple_gap_unique."""
-    by_datum: dict[tuple, list[dict]] = {}
-    for rec in report.records:
-        by_datum.setdefault((rec["p"], tuple(rec["c"])), []).append(rec)
-    failures = []
-    for datum in family_members(report.spec):
-        c3 = _triple_gap_c3(datum)
-        if c3 is not None and not triple_gap_unique(
-                datum.p, c3, by_datum.get((datum.p, datum.c), ())):
-            failures.append((datum.p, c3))
-    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +190,17 @@ def _record_key(rec: dict) -> tuple:
 @dataclass(frozen=True)
 class CounterexampleReport:
     """Aggregated scan outcome: every point record, the gap violations with
-    their expected/discovery flag, and counts.  elapsed_s is run metadata
-    and excluded from the serialized payload."""
+    their expected/discovery flag, and counts.  elapsed_s and
+    triple_gap_failures, the (p, c3) of every triple-gap datum whose
+    records fail triple_gap_unique, are run metadata and excluded from the
+    serialized payload."""
 
     spec: FamilySpec
     records: tuple[dict, ...]
     violations: tuple[dict, ...]
     datum_count: int
     elapsed_s: float
+    triple_gap_failures: tuple[tuple[int, int], ...]
 
     def payload(self) -> dict:
         family = {
@@ -253,19 +228,20 @@ class CounterexampleReport:
 
 
 class _Checkpoint:
-    """Append-only NDJSON store keyed by (p, c, degree, x_dlog).  A torn
-    final line from an interrupted run is dropped on load and ended with a
-    newline when the file is opened for appending, so new records start on
-    a line of their own."""
+    """Append-only NDJSON store; records loaded from it are keyed by
+    (p, c, degree, x_dlog).  A torn or unparseable line from an interrupted
+    run is dropped on load, and a torn final line is ended with a newline
+    when the file is opened for appending, so new records start on a line
+    of their own.  A line that parses but is not a point record is refused
+    before the file is opened for appending."""
 
     def __init__(self, path: str | None):
-        self.path = path
         self._fh = None
         self.records: dict[tuple, dict] = {}
         torn = False
         if path and os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
-                for line in fh:
+                for lineno, line in enumerate(fh, 1):
                     torn = not line.endswith("\n")
                     line = line.strip()
                     if not line:
@@ -274,14 +250,18 @@ class _Checkpoint:
                         rec = json.loads(line)
                     except json.JSONDecodeError:
                         continue
-                    self.records[_record_key(rec)] = rec
+                    try:
+                        self.records[_record_key(rec)] = rec
+                    except (KeyError, TypeError):
+                        raise MalformedInput(
+                            f"{path}:{lineno}: checkpoint line is not a point record"
+                        ) from None
         if path:
             self._fh = open(path, "a", encoding="utf-8")
             if torn:
                 self._fh.write("\n")
 
     def add(self, rec: dict):
-        self.records[_record_key(rec)] = rec
         if self._fh is not None:
             self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
             self._fh.flush()
@@ -294,34 +274,36 @@ class _Checkpoint:
 
 def scan_family(spec: FamilySpec, checkpoint: str | None = None) -> CounterexampleReport:
     """Run the family sweep point by point, with the automatic strategy, and
-    aggregate a deterministic report.  Points whose records are already in
-    the checkpoint are not recomputed; every new record is appended to it as
-    soon as it exists.
+    aggregate a deterministic report from the points of the spec alone.
+    Points whose records are already in the checkpoint are not recomputed;
+    every new record is appended to it as soon as it exists.  Datums come
+    in (p, c) order and points in (degree, dlog) order, so the records are
+    in _record_key order as they are made.
     """
     t0 = time.monotonic()
     datums = family_members(spec)
+    records: list[dict] = []
+    violations: list[dict] = []
+    failures: list[tuple[int, int]] = []
     store = _Checkpoint(checkpoint)
     try:
         for datum in datums:
+            expected = predicted_violation_points(datum)
+            first = len(records)
             for degree in range(1, spec.m_max + 1):
                 for pt in closed_points(field_create(datum.p, degree)):
-                    if (datum.p, datum.c, degree, pt.dlog) not in store.records:
-                        store.add(point_record(slopes_at_point(datum, pt)))
+                    rec = store.records.get((datum.p, datum.c, degree, pt.dlog))
+                    if rec is None:
+                        rec = point_record(slopes_at_point(datum, pt))
+                        store.add(rec)
+                    records.append(rec)
+                    if rec["violates"]:
+                        violations.append(
+                            {**rec, "expected": degree == 1 and rec["x"] in expected})
+            c3 = _triple_gap_c3(datum)
+            if c3 is not None and not triple_gap_unique(datum.p, c3, records[first:]):
+                failures.append((datum.p, c3))
     finally:
         store.close()
-
-    records = tuple(sorted(store.records.values(), key=_record_key))
-    violations = []
-    expected_cache: dict[tuple, frozenset] = {}
-    for rec in records:
-        if not rec["violates"]:
-            continue
-        dkey = (rec["p"], tuple(rec["c"]))
-        if dkey not in expected_cache:
-            expected_cache[dkey] = predicted_violation_points(
-                HypergeometricDatum(rec["p"], tuple(rec["c"])))
-        entry = dict(rec)
-        entry["expected"] = rec["degree"] == 1 and rec["x"] in expected_cache[dkey]
-        violations.append(entry)
-    return CounterexampleReport(spec, records, tuple(violations), len(datums),
-                                time.monotonic() - t0)
+    return CounterexampleReport(spec, tuple(records), tuple(violations), len(datums),
+                                time.monotonic() - t0, tuple(failures))

@@ -335,6 +335,27 @@ def test_coweight_rho_from_cartan_file(capsys, tmp_path):
     assert json_lines(out)[0]["rho"] == ["1", "1"]
 
 
+@pytest.mark.parametrize("kind, content", [
+    ("GLx", None),
+    ("SL", None),
+    ("missing", None),
+    ("file", "[[2, -1], [-1,"),
+    ("file", '[[2, "x"], [-1, 2]]'),
+    ("file", "[[2, -1.5], [-1, 2]]"),
+], ids=["GLx", "SL", "missing-file", "truncated-json", "string-entry", "float-entry"])
+def test_coweight_bad_datum_type_is_a_usage_error(capsys, tmp_path, kind, content):
+    if kind == "missing":
+        kind = f"cartan:{tmp_path / 'missing.json'}"
+    elif kind == "file":
+        path = tmp_path / "bad.json"
+        path.write_text(content, encoding="utf-8")
+        kind = f"cartan:{path}"
+    code, out, err = run(capsys, "coweight", "rho", "--type", kind)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("usage error:")
+
+
 def test_coweight_leq(capsys):
     code, out, _ = run(capsys, "coweight", "leq", "--type", "GL3",
                        "--a", "1,1,1", "--b", "2,1,0")

@@ -119,7 +119,6 @@ def test_point_spec_canonicalizes_the_orbit():
     conj = f2.frobenius(x)
     a, b = point_spec(f2, x), point_spec(f2, conj)
     assert a.x == b.x
-    assert a.requested == x and b.requested == conj
     assert a.dlog == min(f2.dlog[x], f2.dlog[conj])
     assert a.degree == 2
 
@@ -267,6 +266,28 @@ def test_self_dual_rank4_strategies_agree():
     got = {strat: _slopes(slopes_at_point(d, pt, strat))
            for strat in ("full", "det", "selfdual", "dualpair")}
     assert len(set(got.values())) == 1
+
+
+def _partner_side_misses(datum, x, strategy):
+    """Trace-table misses of one slopes_at_point call whose own-side traces
+    are already tabled."""
+    pt = point_spec(field_create(datum.p, 1), x)
+    precision = auto_precision(datum, 1, strategy)
+    for j in range(1, (datum.n + 1) // 2 + 1):
+        frobenius_trace(datum, pt, j, precision)
+    misses = _trace_table.cache_info().misses
+    slopes_at_point(datum, pt, strategy)
+    return _trace_table.cache_info().misses - misses
+
+
+def test_selfdual_partner_side_reuses_the_trace_tables():
+    # a self-dual datum is its own dual, so the partner half of selfdual
+    # reads the tables its own half built
+    d = HypergeometricDatum(13, (1, 5, 7, 11))
+    assert is_self_dual(d)
+    assert _partner_side_misses(d, 2, "selfdual") == 0
+    # the count does see a distinct dual datum's tables being built
+    assert _partner_side_misses(HypergeometricDatum(17, (1, 2, 3, 5)), 3, "dualpair") == 2
 
 
 def test_explicit_precision_too_low_refuses():

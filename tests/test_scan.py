@@ -8,6 +8,7 @@ one with torn trailing lines left by an interrupted run.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,14 +19,13 @@ from isoslope.arith import field_create
 from isoslope.errors import InvalidC3, MalformedInput, NotPrime, PrimeTooSmall
 from isoslope.hyper import HypergeometricDatum, closed_points, point_spec, slopes_at_point
 from isoslope.scan import (
-    CounterexampleReport,
+    _record_key,
     FamilySpec,
     family_members,
     point_record,
     predicted_violation_points,
     rational_str,
     scan_family,
-    scan_points,
     verify_triple_gap_uniqueness,
 )
 
@@ -73,14 +73,15 @@ def test_family_spec_validation():
         FamilySpec("triplegap", 5, 7, c=(1, 2))
 
 
-def test_scan_points_orders_by_degree_then_dlog():
-    reports = scan_points(HypergeometricDatum(7, (2, 4)), m_max=2)
-    assert len(reports) == 5 + 21
-    assert [r.point.x for r in reports[:5]] == [3, 2, 6, 4, 5]
-    degs = [r.point.degree for r in reports]
-    assert degs == sorted(degs) and set(degs) == {1, 2}
-    with pytest.raises(MalformedInput):
-        scan_points(HypergeometricDatum(7, (2, 4)), m_max=0)
+@pytest.mark.parametrize("spec", [
+    FamilySpec("quintic", 11, 31),
+    FamilySpec("triplegap", 5, 11),
+    FamilySpec("explicit", 7, 11, c=(2, 4), m_max=2),
+], ids=["quintic", "triplegap", "explicit-m2"])
+def test_scan_records_come_in_record_key_order(spec):
+    records = scan_family(spec).records
+    keys = [_record_key(r) for r in records]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 # -- predicted violation points ----------------------------------------------
@@ -269,3 +270,23 @@ def test_report_bytes_are_canonical_json():
     parsed = json.loads(raw)
     assert raw == (json.dumps(parsed, sort_keys=True, indent=2) + "\n").encode()
     assert parsed["schema_version"] == "1"
+
+
+def test_checkpoint_from_a_wider_run_does_not_leak_into_the_report(tmp_path):
+    path = str(tmp_path / "scan.ndjson")
+    scan_family(FamilySpec("triplegap", 5, 7), checkpoint=path)
+    narrow = scan_family(FamilySpec("triplegap", 5, 5), checkpoint=path)
+    assert narrow.to_bytes() == scan_family(FamilySpec("triplegap", 5, 5)).to_bytes()
+
+
+@pytest.mark.parametrize("line", ['{"p": 5}', "[1]"], ids=["keyless-object", "array"])
+def test_checkpoint_line_that_is_not_a_point_record_is_refused(tmp_path, line):
+    spec = FamilySpec("triplegap", 5, 5)
+    path = tmp_path / "scan.ndjson"
+    scan_family(spec, checkpoint=str(path))
+    kept = path.read_text(encoding="utf-8").splitlines()
+    body = "\n".join(kept[:2] + [line] + kept[2:]) + "\n"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(MalformedInput, match=re.escape(f"{path}:3:")):
+        scan_family(spec, checkpoint=str(path))
+    assert path.read_text(encoding="utf-8") == body
