@@ -395,10 +395,22 @@ class ExtField:
         return len(self.frobenius_orbit(a))
 
     def eval_poly(self, coeffs, x: int) -> int:
-        """Evaluate a polynomial with GF(p) coefficients at x (Horner)."""
+        """Evaluate a polynomial with GF(p) coefficients at x (Horner).
+
+        A GF(p) constant changes only digit 0 of the base-p encoding, so
+        each step adds it there instead of adding digit by digit.
+        """
+        p = self.p
+        if not x:
+            return coeffs[0] % p if coeffs else 0
+        exp, dlog, order = self.exp, self.dlog, self.q - 1
+        dx = dlog[x]
         acc = 0
         for c in reversed(coeffs):
-            acc = self.add(self.mul(acc, x), c % self.p)
+            if acc:
+                acc = exp[(dlog[acc] + dx) % order]
+            low = acc % p
+            acc += (low + c) % p - low
         return acc
 
     def __repr__(self):  # pragma: no cover

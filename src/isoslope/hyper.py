@@ -76,8 +76,9 @@ class HypergeometricDatum:
         return len(self.c)
 
 
+@functools.cache
 def dual_datum(datum: HypergeometricDatum) -> HypergeometricDatum:
-    """Replace every exponent c_i by p - 1 - c_i."""
+    """Replace every exponent c_i by p - 1 - c_i; built once per datum."""
     return HypergeometricDatum(datum.p, tuple(datum.p - 1 - v for v in datum.c))
 
 
@@ -463,17 +464,26 @@ def gap_profile(slopes: SlopeVector):
 
 
 def _assert_report_sane(report: SlopeReport):
-    n = report.datum.n
-    vals = tuple(report.slopes)
+    _check_slopes(report.datum.n, report.slopes, report.degenerate,
+                  report.dual_degenerate, report.fast_path)
+
+
+@functools.cache
+def _check_slopes(n: int, slopes: SlopeVector, degenerate: bool,
+                  dual_degenerate: bool, fast_path: bool) -> None:
+    """The invariants every report must satisfy; cached, so a repeated
+    input (above all the generic vector of each rank) costs one lookup.
+    A failing input raises on every call, since exceptions are not cached."""
+    vals = tuple(slopes)
     if len(vals) != n:
         raise AssertionError("slope count != rank")
     if sum(vals) != Fraction(n * (n - 1), 2):
         raise AssertionError(f"slope sum {sum(vals)} != n(n-1)/2")
     if vals and (vals[-1] < 0 or vals[0] > n - 1):
         raise AssertionError(f"slopes {vals} leave [0, n-1]")
-    if (vals[-1] > 0) != report.degenerate:
+    if (vals[-1] > 0) != degenerate:
         raise AssertionError("bottom slope contradicts the degeneracy flag")
-    if (vals[0] < n - 1) != report.dual_degenerate:
+    if (vals[0] < n - 1) != dual_degenerate:
         raise AssertionError("top slope contradicts the dual degeneracy flag")
     if n >= 2:
         if vals[-2] <= 0:
@@ -482,9 +492,16 @@ def _assert_report_sane(report: SlopeReport):
             raise AssertionError("second-largest slope must be below n-1")
     # specialization: the Newton polygon at a point lies on or above the
     # generic (Hodge) one; a fast-path vector is the generic one itself
-    if not report.fast_path and not dominance_leq(
+    if not fast_path and not dominance_leq(
             RootDatum.gl(n), vals, tuple(range(n - 1, -1, -1))):
         raise AssertionError(f"slopes {vals} exceed the generic polygon")
+
+
+@functools.cache
+def _generic_profile(n: int):
+    """(slopes, gaps, max gap, violates) of the generic vector (n-1, .., 0)."""
+    sv = SlopeVector(tuple(Fraction(n - 1 - i) for i in range(n)))
+    return (sv, *gap_profile(sv))
 
 
 def slopes_at_point(datum: HypergeometricDatum, point: PointSpec,
@@ -510,10 +527,8 @@ def slopes_at_point(datum: HypergeometricDatum, point: PointSpec,
     dual_degenerate = unit_root_eval(dual_datum(datum), point) == 0
 
     if strategy == "auto" and n <= 3 and not degenerate and not dual_degenerate:
-        sv = SlopeVector(tuple(Fraction(n - 1 - i) for i in range(n)))
-        gaps, max_gap, violates = gap_profile(sv)
-        report = SlopeReport(datum, point, sv, gaps, max_gap, violates,
-                             degenerate, dual_degenerate, None, None, True)
+        report = SlopeReport(datum, point, *_generic_profile(n),
+                             False, False, None, None, True)
         _assert_report_sane(report)
         return report
 

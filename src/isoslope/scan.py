@@ -157,7 +157,7 @@ def triple_gap_unique(p: int, c3: int, records) -> bool:
 # ---------------------------------------------------------------------------
 
 def rational_str(value) -> str:
-    f = Fraction(value)
+    f = value if type(value) is Fraction else Fraction(value)
     return f"{f.numerator}/{f.denominator}" if f.denominator != 1 else str(f.numerator)
 
 
@@ -185,6 +185,102 @@ def point_record(report: SlopeReport) -> dict:
 
 def _record_key(rec: dict) -> tuple:
     return (rec["p"], tuple(rec["c"]), rec["degree"], rec["x_dlog"])
+
+
+# The fields of a point record and their JSON types, as required by
+# schemas/output_record.schema.json.  Types are matched with type(), so a
+# bool is not an int here and floats and objects match nothing; list fields
+# also name the type of their items.
+_RECORD_TYPES = {
+    "schema_version": (str,),
+    "p": (int,),
+    "c": (list,),
+    "degree": (int,),
+    "x": (int,),
+    "x_dlog": (int,),
+    "slopes": (list,),
+    "gaps": (list,),
+    "max_gap": (str,),
+    "violates": (bool,),
+    "u_c_zero": (bool,),
+    "u_cdual_zero": (bool,),
+    "strategy": (str, type(None)),
+    "precision_used": (int, type(None)),
+    "fast_path": (bool,),
+}
+_RECORD_ITEM_TYPES = {"c": int, "slopes": str, "gaps": str}
+_MISSING = object()
+
+
+def _is_point_record(rec) -> bool:
+    """Whether a parsed checkpoint line has exactly the point-record fields,
+    each of its JSON type.  The values themselves are not re-checked."""
+    if type(rec) is not dict or len(rec) != len(_RECORD_TYPES):
+        return False
+    for key, types in _RECORD_TYPES.items():
+        if type(rec.get(key, _MISSING)) not in types:
+            return False
+    for key, item in _RECORD_ITEM_TYPES.items():
+        for v in rec[key]:
+            if type(v) is not item:
+                return False
+    return True
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+# JSON text of each scalar type a flat record holds, as json.dumps writes it
+_RENDER_SCALAR = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _render_scalar(v) -> str:
+    render = _RENDER_SCALAR.get(type(v))
+    if render is None:
+        raise TypeError(f"a flat record holds no {type(v).__name__}")
+    return render(v)
+
+
+def _render_scalar_list(values: list) -> str:
+    """A list of scalars as a record field, at depth 3 of the document."""
+    if not values:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(_render_scalar, values)) + "\n      ]"
+
+
+def _render_records(records, lists: dict) -> str:
+    """A list of flat records (string keys; scalar or scalar-list values) as
+    the value of a top-level key: the text json.dumps(..., sort_keys=True,
+    indent=2) gives it there.  lists maps each scalar list already rendered
+    in the report, keyed on its element types as well as its values since
+    (True,) == (1,), to its text."""
+    if not records:
+        return "[]"
+    layouts: dict[tuple, list] = {}
+    out = []
+    for rec in records:
+        shape = tuple(rec)
+        layout = layouts.get(shape)
+        if layout is None:
+            layout = layouts[shape] = [(k, f"\n      {_encode_str(k)}: ")
+                                       for k in sorted(shape)]
+        fields = []
+        for key, head in layout:
+            v = rec[key]
+            if type(v) is list:
+                memo = (tuple(v), tuple(map(type, v)))
+                text = lists.get(memo)
+                if text is None:
+                    text = lists[memo] = _render_scalar_list(v)
+            else:
+                text = _render_scalar(v)
+            fields.append(head + text)
+        out.append("{" + ",".join(fields) + "\n    }" if fields else "{}")
+    return "[\n    " + ",\n    ".join(out) + "\n  ]"
 
 
 @dataclass(frozen=True)
@@ -224,7 +320,21 @@ class CounterexampleReport:
         }
 
     def to_bytes(self) -> bytes:
-        return (json.dumps(self.payload(), sort_keys=True, indent=2) + "\n").encode()
+        """The payload as canonical JSON: the bytes of json.dumps(payload,
+        sort_keys=True, indent=2) + "\n".  That encoder runs in pure Python
+        once indent is set, so only the small header goes through it; the
+        flat records and violations are rendered directly."""
+        payload = self.payload()
+        lists: dict = {}
+        parts = []
+        for key in sorted(payload):
+            value = payload[key]
+            if key in ("records", "violations"):
+                text = _render_records(value, lists)
+            else:
+                text = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+            parts.append(f"  {_encode_str(key)}: {text}")
+        return ("{\n" + ",\n".join(parts) + "\n}\n").encode()
 
 
 class _Checkpoint:
@@ -232,8 +342,9 @@ class _Checkpoint:
     (p, c, degree, x_dlog).  A torn or unparseable line from an interrupted
     run is dropped on load, and a torn final line is ended with a newline
     when the file is opened for appending, so new records start on a line
-    of their own.  A line that parses but is not a point record is refused
-    before the file is opened for appending."""
+    of their own.  A line that parses but is not a point record (exactly
+    its fields, each of its JSON type) is refused before the file is opened
+    for appending."""
 
     def __init__(self, path: str | None):
         self._fh = None
@@ -250,12 +361,10 @@ class _Checkpoint:
                         rec = json.loads(line)
                     except json.JSONDecodeError:
                         continue
-                    try:
-                        self.records[_record_key(rec)] = rec
-                    except (KeyError, TypeError):
+                    if not _is_point_record(rec):
                         raise MalformedInput(
-                            f"{path}:{lineno}: checkpoint line is not a point record"
-                        ) from None
+                            f"{path}:{lineno}: checkpoint line is not a point record")
+                    self.records[_record_key(rec)] = rec
         if path:
             self._fh = open(path, "a", encoding="utf-8")
             if torn:

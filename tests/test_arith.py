@@ -112,6 +112,42 @@ def test_mul_matches_raw_polynomial_arithmetic():
         assert f.mul(a, f.inv(a)) == 1
 
 
+def _horner_by_add_mul(f, coeffs, x):
+    """eval_poly's oracle: Horner with the digit-wise field add."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = f.add(f.mul(acc, x), c % f.p)
+    return acc
+
+
+def _assert_eval_poly_matches(f, rng, xs):
+    p = f.p
+    polys = [[], [0], [p], [-1], [p - 1, -p - 3]] + [
+        [rng.randrange(-3 * p, 3 * p) for _ in range(rng.randint(1, 7))]
+        for _ in range(6)]
+    for coeffs in polys:
+        for x in xs:
+            assert f.eval_poly(coeffs, x) == _horner_by_add_mul(f, coeffs, x), \
+                (p, f.m, coeffs, x)
+
+
+def test_eval_poly_matches_add_mul_horner_on_every_small_field():
+    rng = random.Random(20261018)
+    fields = [(p, m) for p in range(2, 3001) if is_prime(p)
+              for m in range(1, 12) if p ** m <= 3000]
+    assert len(fields) > 430
+    for p, m in fields:
+        f = field_create(p, m)
+        xs = range(f.q) if f.q <= 64 else [0, 1, f.q - 1] + rng.sample(range(f.q), 20)
+        _assert_eval_poly_matches(f, rng, xs)
+
+
+def test_eval_poly_matches_add_mul_horner_on_gf_7_6():
+    rng = random.Random(7 ** 6)
+    f = field_create(7, 6)
+    _assert_eval_poly_matches(f, rng, [0, 1, 6, 7, f.q - 1] + rng.sample(range(f.q), 200))
+
+
 def test_add_neg_pow_consistency():
     f = field_create(5, 2)
     for a in range(f.q):

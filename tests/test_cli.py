@@ -277,6 +277,23 @@ def test_scan_triplegap_verdict_reads_the_served_records(capsys, tmp_path):
     assert json.loads(out)["summary"]["violations"] == 3
 
 
+def test_scan_checkpoint_line_missing_a_field_is_a_usage_error(capsys, tmp_path):
+    ckpt = tmp_path / "ck.ndjson"
+    code, _, _ = run(capsys, "scan", "--family", "triplegap", "--p-range", "5",
+                     "--checkpoint", str(ckpt))
+    assert code == 0
+    first, *rest = ckpt.read_text(encoding="utf-8").splitlines(keepends=True)
+    rec = json.loads(first)
+    del rec["violates"]
+    body = json.dumps(rec, sort_keys=True) + "\n" + "".join(rest)
+    ckpt.write_text(body, encoding="utf-8")
+    code, out, err = run(capsys, "scan", "--family", "triplegap", "--p-range", "5",
+                         "--checkpoint", str(ckpt))
+    assert code == 64
+    assert out == "" and f"{ckpt}:1: checkpoint line is not a point record" in err
+    assert ckpt.read_text(encoding="utf-8") == body
+
+
 # -- hecke -------------------------------------------------------------------
 
 def test_hecke_basic(capsys):

@@ -8,6 +8,7 @@ Full-census fixtures live in the acceptance suite.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -74,6 +75,8 @@ def test_duality_is_an_involution():
     d = HypergeometricDatum(7, (1, 5, 1))
     assert dual_datum(d).c == (1, 5, 5)
     assert dual_datum(dual_datum(d)) == d
+    assert dual_datum(d) is dual_datum(d)
+    assert dual_datum(HypergeometricDatum(7, (5, 1, 1))) is dual_datum(d)
     assert not is_self_dual(d)
     assert is_self_dual(HypergeometricDatum(31, (6, 12, 18, 24)))
     assert is_self_dual(HypergeometricDatum(7, (2, 4)))
@@ -397,6 +400,21 @@ def test_report_above_the_generic_polygon_is_refused():
     _assert_report_sane(report((F(5, 2), F(5, 2), F(1, 2), F(1, 2))))
     with pytest.raises(AssertionError, match="generic polygon"):
         _assert_report_sane(report((3, F(5, 2), F(1, 2), 0)))
+
+
+@pytest.mark.parametrize("flag", ["degenerate", "dual_degenerate"])
+def test_cached_sanity_check_still_refuses_a_wrong_flag(flag):
+    # the check is memoized on (n, slopes, flags, fast_path): a good generic
+    # report of rank 3 must not let the same slopes through with a bad flag
+    d = HypergeometricDatum(7, (1, 2, 5))
+    good = [slopes_at_point(d, pt) for pt in closed_points(field_create(7, 1))]
+    good = next(rep for rep in good if rep.fast_path)
+    _assert_report_sane(good)
+    bad = dataclasses.replace(good, **{flag: True})
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="contradicts"):
+            _assert_report_sane(bad)
+    _assert_report_sane(good)
 
 
 def test_slopes_at_point_guards():

@@ -14,12 +14,18 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoslope.arith import field_create
 from isoslope.errors import InvalidC3, MalformedInput, NotPrime, PrimeTooSmall
 from isoslope.hyper import HypergeometricDatum, closed_points, point_spec, slopes_at_point
 from isoslope.scan import (
+    _RECORD_ITEM_TYPES,
+    _RECORD_TYPES,
+    _is_point_record,
     _record_key,
+    CounterexampleReport,
     FamilySpec,
     family_members,
     point_record,
@@ -290,3 +296,149 @@ def test_checkpoint_line_that_is_not_a_point_record_is_refused(tmp_path, line):
     with pytest.raises(MalformedInput, match=re.escape(f"{path}:3:")):
         scan_family(spec, checkpoint=str(path))
     assert path.read_text(encoding="utf-8") == body
+
+
+# -- structural check of checkpoint records ------------------------------------
+
+def _json_types(prop: dict) -> set:
+    """Python types of the JSON values a schema property accepts."""
+    if "$ref" in prop:
+        prop = RECORD_SCHEMA["definitions"][prop["$ref"].rsplit("/", 1)[1]]
+    if "const" in prop:
+        return {type(prop["const"])}
+    if "enum" in prop:
+        return {type(v) for v in prop["enum"]}
+    names = prop["type"] if isinstance(prop["type"], list) else [prop["type"]]
+    return {{"string": str, "integer": int, "boolean": bool, "array": list,
+             "null": type(None)}[name] for name in names}
+
+
+def test_record_check_follows_the_schema():
+    props = RECORD_SCHEMA["properties"]
+    assert list(_RECORD_TYPES) == RECORD_SCHEMA["required"]
+    for key, types in _RECORD_TYPES.items():
+        assert set(types) == _json_types(props[key]), key
+        if list in types:
+            assert {_RECORD_ITEM_TYPES[key]} == _json_types(props[key]["items"]), key
+        else:
+            assert key not in _RECORD_ITEM_TYPES
+    assert set(_RECORD_ITEM_TYPES) <= set(_RECORD_TYPES)
+
+
+def test_scan_records_pass_the_check_and_the_schema():
+    records = scan_family(FamilySpec("quintic", 11, 31)).records
+    assert len(records) == 9 + 29  # x = 0 and 1 are not points
+    for rec in records:
+        assert _is_point_record(rec)
+        validate_record(rec)
+
+
+def _drop(key):
+    def edit(rec):
+        del rec[key]
+    return edit
+
+
+def _set(key, value):
+    def edit(rec):
+        rec[key] = value
+    return edit
+
+
+_BAD_RECORD_EDITS = {
+    "missing-violates": _drop("violates"),
+    "missing-x-dlog": _drop("x_dlog"),
+    "extra-field": _set("timing_ms", 3),
+    "expected-field": _set("expected", True),
+    "int-for-bool": _set("violates", 0),
+    "bool-for-int": _set("degree", True),
+    "float-for-int": _set("p", 5.0),
+    "string-for-int": _set("x", "2"),
+    "object-for-string": _set("max_gap", {"num": 1}),
+    "list-for-string": _set("max_gap", ["1"]),
+    "null-for-bool": _set("fast_path", None),
+    "bool-for-null": _set("precision_used", False),
+    "int-slope": _set("slopes", [2, 1, 0]),
+    "float-in-c": _set("c", [1, 3.0, 1]),
+    "bool-in-c": _set("c", [True, 3, 1]),
+    "nested-gap": _set("gaps", [["1"], "1"]),
+}
+
+
+@pytest.mark.parametrize("edit", _BAD_RECORD_EDITS.values(), ids=_BAD_RECORD_EDITS.keys())
+def test_checkpoint_line_with_bad_fields_is_refused(tmp_path, edit):
+    spec = FamilySpec("triplegap", 5, 5)
+    path = tmp_path / "scan.ndjson"
+    scan_family(spec, checkpoint=str(path))
+    first, *rest = path.read_text(encoding="utf-8").splitlines()
+    rec = json.loads(first)
+    assert _is_point_record(rec)
+    edit(rec)
+    assert not _is_point_record(rec)
+    body = "\n".join([json.dumps(rec, sort_keys=True)] + rest) + "\n"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(MalformedInput, match=re.escape(f"{path}:1:")):
+        scan_family(spec, checkpoint=str(path))
+    assert path.read_text(encoding="utf-8") == body
+
+
+# -- the report renderer against json.dumps ------------------------------------
+
+def _oracle_bytes(report) -> bytes:
+    return (json.dumps(report.payload(), sort_keys=True, indent=2) + "\n").encode()
+
+
+_TRICKY_TEXT = st.text(st.sampled_from('a1/"\\\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600 '),
+                       max_size=6)
+_SCALARS = (st.none() | st.booleans() | st.sampled_from([0, 1, -1])
+            | st.integers(min_value=-10 ** 30, max_value=10 ** 30)
+            | _TRICKY_TEXT | st.text(max_size=6))
+_FLAT_RECORDS = st.lists(
+    st.dictionaries(_TRICKY_TEXT | st.text(max_size=6),
+                    _SCALARS | st.lists(_SCALARS, max_size=4)
+                    | st.lists(st.sampled_from([True, 1, False, 0]), max_size=3),
+                    max_size=6),
+    max_size=5)
+_SPECS = st.sampled_from([FamilySpec("triplegap", 5, 7),
+                          FamilySpec("explicit", 5, 11, c=(2, 3), m_max=2)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_SPECS, records=_FLAT_RECORDS, violations=_FLAT_RECORDS,
+       datums=st.integers(min_value=0, max_value=10 ** 20))
+def test_rendered_report_equals_json_dumps(spec, records, violations, datums):
+    report = CounterexampleReport(spec, tuple(records), tuple(violations), datums,
+                                  0.0, ())
+    assert report.to_bytes() == _oracle_bytes(report)
+
+
+def test_rendered_lists_keep_bools_apart_from_ints():
+    records = [{"a": [1, 0]}, {"a": [True, False]}, {"a": [1, False]},
+               {"a": [True, 0]}, {"a": [1, 0]}, {"b": True, "a": 1}, {"b": 1, "a": True}]
+    report = CounterexampleReport(FamilySpec("triplegap", 5, 5), tuple(records),
+                                  tuple(records[::-1]), 1, 0.0, ())
+    raw = report.to_bytes()
+    assert raw == _oracle_bytes(report)
+    assert [r["a"] for r in json.loads(raw)["records"][:5]] == \
+        [[1, 0], [True, False], [1, False], [True, 0], [1, 0]]
+
+
+@pytest.mark.parametrize("value", [0.5, {"k": 1}, [[1]], [{"k": 1}], (1, 2)],
+                         ids=["float", "object", "nested-list", "object-in-list", "tuple"])
+def test_renderer_refuses_values_a_point_record_never_holds(value):
+    report = CounterexampleReport(FamilySpec("triplegap", 5, 5), ({"a": value},), (),
+                                  1, 0.0, ())
+    with pytest.raises(TypeError):
+        report.to_bytes()
+
+
+@pytest.mark.parametrize("spec", [
+    FamilySpec("quintic", 11, 31),
+    FamilySpec("triplegap", 5, 13),
+    FamilySpec("explicit", 7, 7, c=(2, 3), m_max=3),
+], ids=["quintic", "triplegap", "explicit-m3"])
+def test_real_reports_equal_json_dumps(spec):
+    # the explicit family has no violations: an empty list at the top level
+    report = scan_family(spec)
+    assert report.records and bool(report.violations) == (spec.kind != "explicit")
+    assert report.to_bytes() == _oracle_bytes(report)
