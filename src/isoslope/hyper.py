@@ -24,6 +24,8 @@ as a censored bound and can only certify, never shape, the polygon.
 from __future__ import annotations
 
 import functools
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -244,17 +246,41 @@ def _norm_one_minus_table(field: ExtField) -> tuple[int, ...]:
     return tuple(sign * norm(field, y - 1 if y % p else y + p - 1) % p for y in field.exp)
 
 
+def _self_dual_split(datum: HypergeometricDatum) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(D, R): D the largest sub-multiset of c equal to its own dual (every
+    pair {a, p-1-a} and every copy of (p-1)/2), R the rest of c."""
+    p = datum.p
+    rest = Counter(datum.c)
+    part = []
+    for a in datum.c:
+        pair = (a,) if 2 * a == p - 1 else (a, p - 1 - a)
+        if all(rest[v] for v in pair):
+            rest.subtract(pair)
+            part.extend(pair)
+    return tuple(part), tuple(rest.elements())
+
+
 @functools.cache
 def _trace_table(datum: HypergeometricDatum, field: ExtField,
-                 precision: int) -> tuple[int, ...]:
+                 precision: int) -> array | tuple[int, ...]:
     """Raw tuple sums indexed by target dlog, mod p^precision.
 
     Entry e is sum over unit tuples with product g^e of prod char values;
     no rank sign applied here.  The character row of c_i holds
     tau(norm(1 - g^e))^c_i mod p^N at e, read through a length-p row of
     tau(v)^c_i over the residues v.
+
+    The table is the cyclic convolution of the rows of c.  When the
+    self-dual part D of c has at least two exponents and the rest R is not
+    empty, the fold starts from the (cached) table of D: the dual datum has
+    the same D, so a datum and its dual share that product.  A self-dual
+    datum, or one with no pair, folds its rows from the first.  Entries are
+    below p^precision, so the table is an array('q') when p^precision <=
+    2^63 and a tuple of ints otherwise.  The cache hands the same array to
+    every caller, so callers only read it.
     """
     p = datum.p
+    modulus = p ** precision
     norms = _norm_one_minus_table(field)
     tau = teichmuller_table(p, precision)
 
@@ -262,10 +288,14 @@ def _trace_table(datum: HypergeometricDatum, field: ExtField,
         row = [0] + [tau[pow(v, c, p)] for v in range(1, p)]
         return [row[nm] for nm in norms]
 
-    acc = char_row(datum.c[0])
-    for ci in datum.c[1:]:
-        acc = cyclic_convolve(acc, char_row(ci), p ** precision)
-    return tuple(acc)
+    part, rest = _self_dual_split(datum)
+    if len(part) >= 2 and rest:
+        acc = _trace_table(HypergeometricDatum(p, part), field, precision)
+    else:
+        acc, rest = char_row(datum.c[0]), datum.c[1:]
+    for ci in rest:
+        acc = cyclic_convolve(acc, char_row(ci), modulus)
+    return array("q", acc) if modulus <= 2 ** 63 else tuple(acc)
 
 
 def frobenius_trace(datum: HypergeometricDatum, point: PointSpec, j: int,

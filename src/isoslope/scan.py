@@ -17,8 +17,10 @@ reason.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -210,11 +212,20 @@ _RECORD_TYPES = {
 }
 _RECORD_ITEM_TYPES = {"c": int, "slopes": str, "gaps": str}
 _MISSING = object()
+# the schema's pattern for the exact rationals of slopes, gaps and max_gap
+_RATIONAL = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
+
+
+@functools.cache
+def _is_rational(text: str) -> bool:
+    """Cached: a checkpoint repeats a handful of distinct rational strings."""
+    return _RATIONAL.fullmatch(text) is not None
 
 
 def _is_point_record(rec) -> bool:
     """Whether a parsed checkpoint line has exactly the point-record fields,
-    each of its JSON type.  The values themselves are not re-checked."""
+    each of its JSON type, with every rational string matching the schema's
+    pattern.  The values themselves are not re-checked."""
     if type(rec) is not dict or len(rec) != len(_RECORD_TYPES):
         return False
     for key, types in _RECORD_TYPES.items():
@@ -224,7 +235,7 @@ def _is_point_record(rec) -> bool:
         for v in rec[key]:
             if type(v) is not item:
                 return False
-    return True
+    return all(map(_is_rational, (*rec["slopes"], *rec["gaps"], rec["max_gap"])))
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -343,8 +354,8 @@ class _Checkpoint:
     run is dropped on load, and a torn final line is ended with a newline
     when the file is opened for appending, so new records start on a line
     of their own.  A line that parses but is not a point record (exactly
-    its fields, each of its JSON type) is refused before the file is opened
-    for appending."""
+    its fields, each of its JSON type, rationals matching the schema's
+    pattern) is refused before the file is opened for appending."""
 
     def __init__(self, path: str | None):
         self._fh = None

@@ -294,6 +294,24 @@ def test_scan_checkpoint_line_missing_a_field_is_a_usage_error(capsys, tmp_path)
     assert ckpt.read_text(encoding="utf-8") == body
 
 
+def test_scan_checkpoint_line_with_a_bad_rational_is_a_usage_error(capsys, tmp_path):
+    # served unchecked, the word would reach Fraction in the triple-gap check
+    ckpt = tmp_path / "ck.ndjson"
+    code, _, _ = run(capsys, "scan", "--family", "triplegap", "--p-range", "5..5",
+                     "--checkpoint", str(ckpt))
+    assert code == 0
+    first, *rest = ckpt.read_text(encoding="utf-8").splitlines(keepends=True)
+    rec = json.loads(first)
+    rec["gaps"] = ["x", "1"]
+    body = json.dumps(rec, sort_keys=True) + "\n" + "".join(rest)
+    ckpt.write_text(body, encoding="utf-8")
+    code, out, err = run(capsys, "scan", "--family", "triplegap", "--p-range", "5..5",
+                         "--checkpoint", str(ckpt))
+    assert code == 64
+    assert out == "" and f"{ckpt}:1: checkpoint line is not a point record" in err
+    assert ckpt.read_text(encoding="utf-8") == body
+
+
 # -- hecke -------------------------------------------------------------------
 
 def test_hecke_basic(capsys):

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
 
-from isoslope.arith import embed_element, field_create, norm
+from isoslope import hyper
+from isoslope.arith import embed_element, field_create, norm, teichmuller_table
+from isoslope.convolution import cyclic_convolve_schoolbook
 from isoslope.errors import (
     DatumMismatch,
     MalformedInput,
@@ -28,6 +31,7 @@ from isoslope.hyper import (
     SlopeReport,
     _assert_report_sane,
     _norm_one_minus_table,
+    _self_dual_split,
     _trace_table,
     auto_precision,
     char_poly_valuations,
@@ -209,6 +213,77 @@ def test_trace_tables_are_reused_across_points():
     assert after.hits > before.hits
 
 
+def _schoolbook_table(datum, field, precision):
+    """A trace table as the left fold of the character rows of c with the
+    schoolbook convolution, each row read from field arithmetic."""
+    p = datum.p
+    norms = [norm(field, field.sub(1, field.exp[e])) for e in range(field.q - 1)]
+    tau = teichmuller_table(p, precision)
+
+    def row(c):
+        return [tau[pow(v, c, p)] if v else 0 for v in norms]
+
+    acc = row(datum.c[0])
+    for c in datum.c[1:]:
+        acc = cyclic_convolve_schoolbook(acc, row(c), p ** precision)
+    return acc
+
+
+@pytest.mark.parametrize("p, c, part, rest", [
+    (7, (1, 1, 5), (1, 5), (1,)),
+    (7, (1, 3, 5), (1, 5, 3), ()),
+    (7, (1, 1, 3, 3, 5, 5, 5), (1, 5, 1, 5, 3, 3), (5,)),
+    (13, (1, 4, 11), (1, 11), (4,)),
+    (17, (1, 2, 3, 5), (), (1, 2, 3, 5)),
+    (17, (1, 2, 3, 15), (1, 15), (2, 3)),
+    (13, (6, 6, 6, 6), (6, 6, 6, 6), ()),
+])
+def test_self_dual_split(p, c, part, rest):
+    assert _self_dual_split(HypergeometricDatum(p, c)) == (part, rest)
+
+
+_SHARED_PART_DATUMS = [
+    (p, (1, c3, p - 2)) for p in (7, 13) for c3 in range(1, p - 1) if 2 * c3 != p - 1
+] + [(17, (1, 2, 3, 15)), (7, (1, 3, 5)), (13, (1, 5, 7, 11))]
+
+
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize("p, c", _SHARED_PART_DATUMS,
+                         ids=[f"{p}-{c}" for p, c in _SHARED_PART_DATUMS])
+def test_trace_table_equals_a_schoolbook_fold(p, c, m):
+    # triple-gap datums (c3 = 1 and p - 2 included) start from the shared
+    # table of {1, p-2}; (1, 2, 3, 15) from that of {1, 15}; the self-dual
+    # datums fold their own rows.  Word-sized moduli give array('q') tables.
+    d = HypergeometricDatum(p, c)
+    f = field_create(p, m)
+    word = max(n for n in range(1, 64) if p ** n <= 2 ** 63)
+    for precision in (3, word, word + 1):
+        table = _trace_table(d, f, precision)
+        assert type(table) is (array if precision <= word else tuple)
+        assert list(table) == _schoolbook_table(d, f, precision)
+
+
+def test_triple_gap_datums_share_one_product_per_field(monkeypatch):
+    # every datum of the p = 13 triple-gap family and its dual contain
+    # {1, 11}: its rows are convolved once per field, and each datum's
+    # table is one convolution more (a plain left fold takes two a datum)
+    lengths = []
+    real = hyper.cyclic_convolve
+
+    def counting(a, b, modulus):
+        lengths.append(len(a))
+        return real(a, b, modulus)
+
+    monkeypatch.setattr(hyper, "cyclic_convolve", counting)
+    _trace_table.cache_clear()
+    members = [HypergeometricDatum(13, (1, c3, 11)) for c3 in range(1, 12) if c3 != 6]
+    for d in members:
+        for pt in closed_points(field_create(13, 1)):
+            slopes_at_point(d, pt)
+    assert len(members) == 10
+    assert sorted(lengths) == [12] * 11 + [168] * 11
+
+
 def test_trace_input_guards():
     d = HypergeometricDatum(7, (2, 4))
     pt = point_spec(field_create(11, 1), 2)
@@ -271,26 +346,33 @@ def test_self_dual_rank4_strategies_agree():
     assert len(set(got.values())) == 1
 
 
-def _partner_side_misses(datum, x, strategy):
-    """Trace-table misses of one slopes_at_point call whose own-side traces
-    are already tabled."""
+def _table_misses(datum, x, strategy):
+    """Trace-table misses of one slopes_at_point call from a cold cache:
+    (own side, partner side), the own side being the datum's traces
+    j <= ceil(n/2)."""
+    _trace_table.cache_clear()
     pt = point_spec(field_create(datum.p, 1), x)
     precision = auto_precision(datum, 1, strategy)
     for j in range(1, (datum.n + 1) // 2 + 1):
         frobenius_trace(datum, pt, j, precision)
-    misses = _trace_table.cache_info().misses
+    own = _trace_table.cache_info().misses
     slopes_at_point(datum, pt, strategy)
-    return _trace_table.cache_info().misses - misses
+    return own, _trace_table.cache_info().misses - own
 
 
 def test_selfdual_partner_side_reuses_the_trace_tables():
     # a self-dual datum is its own dual, so the partner half of selfdual
-    # reads the tables its own half built
-    d = HypergeometricDatum(13, (1, 5, 7, 11))
-    assert is_self_dual(d)
-    assert _partner_side_misses(d, 2, "selfdual") == 0
+    # reads the tables its own half built; its own half builds one table
+    # per field and no table of a part of c
+    for p, c, x in ((13, (1, 5, 7, 11), 2), (7, (1, 3, 5), 3), (13, (6, 6, 6, 6), 2)):
+        d = HypergeometricDatum(p, c)
+        assert is_self_dual(d)
+        assert _table_misses(d, x, "selfdual") == (2, 0)
     # the count does see a distinct dual datum's tables being built
-    assert _partner_side_misses(HypergeometricDatum(17, (1, 2, 3, 5)), 3, "dualpair") == 2
+    assert _table_misses(HypergeometricDatum(17, (1, 2, 3, 5)), 3, "dualpair") == (2, 2)
+    # the pair {1, 15} gets a table per field on the own side, which the
+    # dual (1, 13, 14, 15) reuses
+    assert _table_misses(HypergeometricDatum(17, (1, 2, 3, 15)), 3, "dualpair") == (4, 2)
 
 
 def test_explicit_precision_too_low_refuses():

@@ -21,6 +21,7 @@ from isoslope.arith import field_create
 from isoslope.errors import InvalidC3, MalformedInput, NotPrime, PrimeTooSmall
 from isoslope.hyper import HypergeometricDatum, closed_points, point_spec, slopes_at_point
 from isoslope.scan import (
+    _RATIONAL,
     _RECORD_ITEM_TYPES,
     _RECORD_TYPES,
     _is_point_record,
@@ -323,6 +324,13 @@ def test_record_check_follows_the_schema():
         else:
             assert key not in _RECORD_ITEM_TYPES
     assert set(_RECORD_ITEM_TYPES) <= set(_RECORD_TYPES)
+    # the rational strings are matched against the schema's own pattern,
+    # in the fields that refer to it
+    rational = RECORD_SCHEMA["definitions"]["rational"]
+    assert _RATIONAL.pattern == rational["pattern"]
+    ref = {"$ref": "#/definitions/rational"}
+    assert {key for key, prop in props.items()
+            if ref in (prop, prop.get("items"))} == {"slopes", "gaps", "max_gap"}
 
 
 def test_scan_records_pass_the_check_and_the_schema():
@@ -362,6 +370,13 @@ _BAD_RECORD_EDITS = {
     "float-in-c": _set("c", [1, 3.0, 1]),
     "bool-in-c": _set("c", [True, 3, 1]),
     "nested-gap": _set("gaps", [["1"], "1"]),
+    "word-in-gaps": _set("gaps", ["x", "1"]),
+    "decimal-slope": _set("slopes", ["2", "1.5", "0"]),
+    "zero-denominator": _set("max_gap", "1/0"),
+    "empty-max-gap": _set("max_gap", ""),
+    "spaced-slope": _set("slopes", [" 2", "1", "0"]),
+    "newline-after-gap": _set("gaps", ["1\n", "1"]),
+    "plus-sign": _set("max_gap", "+1"),
 }
 
 
