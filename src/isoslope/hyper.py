@@ -18,7 +18,9 @@ r(n-1)) against the dual datum c' = (p-1-c_i).
 
 Everything is exact: residues mod p^N with explicit precision, Fractions
 downstream.  A residue that vanishes at working precision enters the hull
-as a censored bound and can only certify, never shape, the polygon.
+as a censored bound and can only certify, never shape, the polygon, so
+slopes_at_point starts at the precision that is exact on the generic
+polygon and raises it only where the hull refuses.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .errors import (
     DatumMismatch,
     MalformedInput,
     NotPrime,
+    PrecisionInsufficient,
     RankTooLargeForP,
     StrategyUnavailable,
 )
@@ -350,7 +353,8 @@ def resolve_strategy(datum: HypergeometricDatum, strategy: str) -> str:
 
 def auto_precision(datum: HypergeometricDatum, m: int, strategy: str) -> int:
     """Enough precision that every coefficient the strategy must resolve is
-    either pinned exactly or censored strictly above any possible hull."""
+    either pinned exactly or censored strictly above any possible hull: the
+    ceiling of the adaptive precision in slopes_at_point."""
     n = datum.n
     if strategy in ("selfdual", "dualpair"):
         reach = (n + 1) // 2
@@ -365,6 +369,14 @@ def _trace_jmax(n: int, strategy: str) -> int:
     if strategy == "det":
         return n - 1
     return (n + 1) // 2
+
+
+def start_precision(n: int, m: int, strategy: str) -> int:
+    """Lowest precision at which every coefficient computed from traces is
+    exact on the generic (Hodge) polygon, where v(b_r) = m r(r-1)/2:
+    m k(k-1)/2 + 1 with k the highest such index below n."""
+    k = min(_trace_jmax(n, strategy), n - 1)
+    return m * k * (k - 1) // 2 + 1
 
 
 def _power_traces(datum: HypergeometricDatum, point: PointSpec, jmax: int,
@@ -545,10 +557,20 @@ def slopes_at_point(datum: HypergeometricDatum, point: PointSpec,
     strategy is validated and run even where the shortcut would apply, so a
     request like selfdual on a non-self-dual datum refuses instead of
     answering by accident.
+
+    Precision: an explicit precision is tried once.  Without one, the
+    coefficients are computed at start_precision and, each time the hull
+    refuses to certify, again at the refusal's suggested precision (at
+    least one more), capped by auto_precision; a refusal at that ceiling
+    raises.  A certified hull is the true Newton polygon at any precision,
+    so the slopes do not depend on where the search stops, and the
+    report's precision is the one that certified it.
     """
     n = datum.n
     if datum.p <= n:
         raise RankTooLargeForP(f"rank {n} needs p > n, got p = {datum.p}")
+    if precision is not None and precision < 1:
+        raise MalformedInput(f"precision must be >= 1, got {precision}")
     if point.field.p != datum.p:
         raise DatumMismatch(
             f"point lives over GF({point.field.p}^{point.field.m}), datum has p = {datum.p}"
@@ -562,9 +584,22 @@ def slopes_at_point(datum: HypergeometricDatum, point: PointSpec,
         _assert_report_sane(report)
         return report
 
-    cpd = char_poly_valuations(datum, point, strategy, precision)
-    polygon = lower_hull([HullPoint(r, v) for r, v in enumerate(cpd.valuations)])
-    sv = slopes_descending(polygon, point.field.m)
+    m = point.field.m
+    ceiling = precision
+    if precision is None:
+        strategy = resolve_strategy(datum, strategy)
+        ceiling = auto_precision(datum, m, strategy)
+        precision = start_precision(n, m, strategy)
+    while True:
+        cpd = char_poly_valuations(datum, point, strategy, precision)
+        try:
+            polygon = lower_hull([HullPoint(r, v) for r, v in enumerate(cpd.valuations)])
+            break
+        except PrecisionInsufficient as exc:
+            if precision >= ceiling:
+                raise
+            precision = min(ceiling, max(precision + 1, exc.suggested_precision()))
+    sv = slopes_descending(polygon, m)
     gaps, max_gap, violates = gap_profile(sv)
     report = SlopeReport(datum, point, sv, gaps, max_gap, violates,
                          degenerate, dual_degenerate, cpd.strategy,

@@ -34,7 +34,7 @@ from .hyper import (
     slopes_at_point,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 FAMILY_KINDS = ("quintic", "triplegap", "explicit")
 
@@ -224,8 +224,9 @@ def _is_rational(text: str) -> bool:
 
 def _is_point_record(rec) -> bool:
     """Whether a parsed checkpoint line has exactly the point-record fields,
-    each of its JSON type, with every rational string matching the schema's
-    pattern.  The values themselves are not re-checked."""
+    each of its JSON type, this SCHEMA_VERSION and every rational string
+    matching the schema's pattern.  The values themselves are not
+    re-checked."""
     if type(rec) is not dict or len(rec) != len(_RECORD_TYPES):
         return False
     for key, types in _RECORD_TYPES.items():
@@ -235,7 +236,8 @@ def _is_point_record(rec) -> bool:
         for v in rec[key]:
             if type(v) is not item:
                 return False
-    return all(map(_is_rational, (*rec["slopes"], *rec["gaps"], rec["max_gap"])))
+    return rec["schema_version"] == SCHEMA_VERSION and \
+        all(map(_is_rational, (*rec["slopes"], *rec["gaps"], rec["max_gap"])))
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -353,9 +355,11 @@ class _Checkpoint:
     (p, c, degree, x_dlog).  A torn or unparseable line from an interrupted
     run is dropped on load, and a torn final line is ended with a newline
     when the file is opened for appending, so new records start on a line
-    of their own.  A line that parses but is not a point record (exactly
-    its fields, each of its JSON type, rationals matching the schema's
-    pattern) is refused before the file is opened for appending."""
+    of their own.  A line that parses but is not a point record of this
+    schema version (exactly its fields, each of its JSON type, rationals
+    matching the schema's pattern) is refused before the file is opened
+    for appending: a record of another version may carry a precision_used
+    of another meaning, so it is never mixed in."""
 
     def __init__(self, path: str | None):
         self._fh = None

@@ -32,6 +32,7 @@ from isoslope.coweight import (
 from isoslope.errors import PrecisionInsufficient
 from isoslope.hyper import (
     HypergeometricDatum,
+    auto_precision,
     closed_points,
     dual_datum,
     frobenius_trace,
@@ -325,9 +326,12 @@ def test_criterion_8_strategy_cross_agreement():
         pts = closed_points(field_create(p, 1))
         for datum in datums:
             for pt in pts:
+                # each strategy at its adaptive precision and at its
+                # auto_precision ceiling, the fixed precision of old
                 outcomes = {
-                    s: tuple(slopes_at_point(datum, pt, s).slopes)
+                    (s, precision): tuple(slopes_at_point(datum, pt, s, precision).slopes)
                     for s in ("full", "det", "selfdual", "dualpair")
+                    for precision in (None, auto_precision(datum, 1, s))
                 }
                 point_count += 1
                 if len(set(outcomes.values())) != 1:
@@ -336,7 +340,8 @@ def test_criterion_8_strategy_cross_agreement():
     ok = (counts == {3: 2, 5: 8, 7: 13, 11: 26, 13: 34}
           and not bad and dt < 600)
     _verdict(8, "strategy cross-agreement", ok,
-             f"full/det/selfdual/dualpair identical on {sum(counts.values())} "
+             f"full/det/selfdual/dualpair identical, each at its adaptive "
+             f"precision and at auto_precision, on {sum(counts.values())} "
              f"self-dual datums (n<=4, p>n) at {point_count} degree-1 points; "
              f"disagreements={bad[:3]}; {dt:.1f}s")
 

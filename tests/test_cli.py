@@ -20,6 +20,7 @@ import pytest
 
 import isoslope
 from isoslope.cli import main
+from isoslope.hyper import HypergeometricDatum, auto_precision, start_precision
 
 _SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "output_record.schema.json"
 RECORD_SCHEMA = json.loads(_SCHEMA_PATH.read_text(encoding="utf-8"))
@@ -90,7 +91,7 @@ def test_slopes_strategy_refusal_is_structured(capsys):
                        "--strategy", "selfdual", "--x", "3")
     assert code == 2
     payload = json.loads(out)
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
     assert payload["error"]["type"] == "StrategyUnavailable"
 
 
@@ -104,6 +105,55 @@ def test_slopes_precision_refusal_names_the_retry(capsys):
     # the exact hull is the chord (0,0)-(4,6) and index 1 fails first at 3/2
     assert payload["error"]["index"] == 1
     assert payload["error"]["suggested_precision"] == 4
+
+
+@pytest.mark.parametrize("c", ["1,3,5", "1,1,5"], ids=["fast-path-only", "degenerate"])
+@pytest.mark.parametrize("precision", ["0", "-3"])
+def test_slopes_precision_below_one_is_a_usage_error(capsys, c, precision):
+    # every degree-1 point of (1, 3, 5) at p = 7 takes the fast path, which
+    # used to answer without looking at the precision
+    code, out, err = run(capsys, "slopes", "--p", "7", "--c", c, "--precision", precision)
+    assert code == 64
+    assert out == "" and "precision must be >= 1" in err
+
+
+# Points that refuse at the starting precision, found in a random sweep of
+# p <= 13, n <= 5: (p, c, degree, x, strategy, the precision that certifies)
+_REFUSALS_AT_START = [
+    (11, (3, 7, 8, 9), 1, 6, "full", 7),
+    (11, (3, 7, 8, 9), 1, 6, "det", 7),
+    (11, (3, 7, 8, 9), 1, 6, "dualpair", 5),
+    (11, (4, 5, 6), 2, 65, "det", 6),
+    (11, (4, 5, 6), 2, 65, "selfdual", 6),
+    (11, (4, 5, 6), 2, 65, "dualpair", 6),
+    (11, (1, 1, 4, 4, 6), 1, 4, "dualpair", 7),
+]
+
+
+@pytest.mark.parametrize("p, c, m, x, strategy, used", _REFUSALS_AT_START)
+def test_slopes_escalates_where_the_start_refuses(capsys, p, c, m, x, strategy, used):
+    start = start_precision(len(c), m, strategy)
+    ceiling = auto_precision(HypergeometricDatum(p, c), m, strategy)
+    assert start < used <= ceiling
+    argv = ["slopes", "--p", str(p), "--c", ",".join(map(str, c)), "--m", str(m),
+            "--x", ",".join(str(x // p ** i % p) for i in range(m)),
+            "--strategy", strategy]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    (rec,) = json_lines(out)
+    jsonschema.validate(rec, RECORD_SCHEMA)
+    assert rec["precision_used"] == used
+    code, out, _ = run(capsys, *argv, "--precision", str(ceiling))
+    assert code == 0
+    (at_ceiling,) = json_lines(out)
+    assert at_ceiling["slopes"] == rec["slopes"]
+    assert at_ceiling["precision_used"] == ceiling
+    # an explicit precision is tried once, never escalated
+    code, out, _ = run(capsys, *argv, "--precision", str(start))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "PrecisionInsufficient"
+    assert error["suggested_precision"] == used
 
 
 def test_table_limit_env(capsys, monkeypatch):
@@ -309,6 +359,26 @@ def test_scan_checkpoint_line_with_a_bad_rational_is_a_usage_error(capsys, tmp_p
                          "--checkpoint", str(ckpt))
     assert code == 64
     assert out == "" and f"{ckpt}:1: checkpoint line is not a point record" in err
+    assert ckpt.read_text(encoding="utf-8") == body
+
+
+def test_scan_checkpoint_of_schema_version_1_is_a_usage_error(capsys, tmp_path):
+    # version 1 records carry precision_used at the old fixed precision, so a
+    # resume refuses them instead of mixing them into a version 2 report
+    ckpt = tmp_path / "ck.ndjson"
+    code, _, _ = run(capsys, "scan", "--family", "triplegap", "--p-range", "5..5",
+                     "--checkpoint", str(ckpt))
+    assert code == 0
+    lines = ckpt.read_text(encoding="utf-8").splitlines(keepends=True)
+    rec = json.loads(lines[1])
+    rec["schema_version"] = "1"
+    lines[1] = json.dumps(rec, sort_keys=True) + "\n"
+    body = "".join(lines)
+    ckpt.write_text(body, encoding="utf-8")
+    code, out, err = run(capsys, "scan", "--family", "triplegap", "--p-range", "5..5",
+                         "--checkpoint", str(ckpt))
+    assert code == 64
+    assert out == "" and f"{ckpt}:2: checkpoint line is not a point record" in err
     assert ckpt.read_text(encoding="utf-8") == body
 
 

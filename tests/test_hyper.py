@@ -44,6 +44,7 @@ from isoslope.hyper import (
     point_spec,
     resolve_strategy,
     slopes_at_point,
+    start_precision,
     unit_root_eval,
     unit_root_poly,
 )
@@ -317,6 +318,30 @@ def test_auto_precision_formulas():
     assert auto_precision(flag, 2, "selfdual") == 14
 
 
+def test_start_precision_formulas():
+    # m k(k-1)/2 + 1, k = min(traces the strategy computes, n - 1): the
+    # lowest precision at which those coefficients are exact on the generic
+    # polygon, where v(b_r) = m r(r-1)/2
+    for strategy in ("full", "det"):
+        assert start_precision(4, 1, strategy) == 4
+        assert start_precision(4, 2, strategy) == 7
+    for n in (3, 4):
+        for strategy in ("selfdual", "dualpair"):
+            assert start_precision(n, 1, strategy) == 2
+            assert start_precision(n, 2, strategy) == 3
+    for strategy in hyper.STRATEGIES:
+        assert start_precision(1, 3, strategy) == 1
+        assert start_precision(2, 3, strategy) == 1
+
+
+def test_start_precision_never_exceeds_the_ceiling():
+    for n in range(1, 9):
+        d = HypergeometricDatum(11, (1,) * n)
+        for m in range(1, 7):
+            for strategy in hyper.STRATEGIES:
+                assert 1 <= start_precision(n, m, strategy) <= auto_precision(d, m, strategy)
+
+
 def test_rank_needs_p_larger_than_n():
     d = HypergeometricDatum(3, (1, 1, 1))
     pt = point_spec(field_create(3, 1), 2)
@@ -349,10 +374,11 @@ def test_self_dual_rank4_strategies_agree():
 def _table_misses(datum, x, strategy):
     """Trace-table misses of one slopes_at_point call from a cold cache:
     (own side, partner side), the own side being the datum's traces
-    j <= ceil(n/2)."""
+    j <= ceil(n/2) at the precision the call starts at (every point used
+    here certifies there)."""
     _trace_table.cache_clear()
     pt = point_spec(field_create(datum.p, 1), x)
-    precision = auto_precision(datum, 1, strategy)
+    precision = start_precision(datum.n, 1, strategy)
     for j in range(1, (datum.n + 1) // 2 + 1):
         frobenius_trace(datum, pt, j, precision)
     own = _trace_table.cache_info().misses
@@ -418,7 +444,8 @@ def test_flagship_sample_points():
     rep4 = slopes_at_point(d, point_spec(f, 4))
     assert _slopes(rep4) == half and rep4.degenerate
     assert rep4.max_gap == 2 and rep4.violates_small_gaps
-    assert rep4.strategy == "selfdual" and rep4.precision == 8
+    # certified at the starting precision 2, below the ceiling 8
+    assert rep4.strategy == "selfdual" and rep4.precision == 2
     rep5 = slopes_at_point(d, point_spec(f, 5))
     assert _slopes(rep5) == (3, F(3, 2), F(3, 2), 0)
     assert not rep5.degenerate and not rep5.dual_degenerate

@@ -21,6 +21,7 @@ from isoslope.arith import field_create
 from isoslope.errors import InvalidC3, MalformedInput, NotPrime, PrimeTooSmall
 from isoslope.hyper import HypergeometricDatum, closed_points, point_spec, slopes_at_point
 from isoslope.scan import (
+    SCHEMA_VERSION,
     _RATIONAL,
     _RECORD_ITEM_TYPES,
     _RECORD_TYPES,
@@ -144,7 +145,7 @@ def test_point_record_against_schema():
         rec = point_record(slopes_at_point(datum, point_spec(field, x)))
         validate_record(rec)
     rec = point_record(slopes_at_point(datum, point_spec(field, 3)))
-    assert rec["schema_version"] == "1"
+    assert rec["schema_version"] == "2"
     assert rec["p"] == 7 and rec["c"] == [1, 1, 5]
     assert rec["degree"] == 1 and rec["x"] == 3
     assert rec["slopes"] == ["2", "1/2", "1/2"]
@@ -276,7 +277,7 @@ def test_report_bytes_are_canonical_json():
     assert raw.endswith(b"\n")
     parsed = json.loads(raw)
     assert raw == (json.dumps(parsed, sort_keys=True, indent=2) + "\n").encode()
-    assert parsed["schema_version"] == "1"
+    assert parsed["schema_version"] == "2"
 
 
 def test_checkpoint_from_a_wider_run_does_not_leak_into_the_report(tmp_path):
@@ -316,6 +317,8 @@ def _json_types(prop: dict) -> set:
 
 def test_record_check_follows_the_schema():
     props = RECORD_SCHEMA["properties"]
+    # records are written and accepted at the schema's one version
+    assert SCHEMA_VERSION == props["schema_version"]["const"]
     assert list(_RECORD_TYPES) == RECORD_SCHEMA["required"]
     for key, types in _RECORD_TYPES.items():
         assert set(types) == _json_types(props[key]), key
@@ -377,6 +380,7 @@ _BAD_RECORD_EDITS = {
     "spaced-slope": _set("slopes", [" 2", "1", "0"]),
     "newline-after-gap": _set("gaps", ["1\n", "1"]),
     "plus-sign": _set("max_gap", "+1"),
+    "schema-version-1": _set("schema_version", "1"),
 }
 
 
