@@ -8,7 +8,10 @@ rationals travel as "num/den" strings, never floats.
 Exit codes: 0 success; 2 a mathematically well-posed request the library
 refused (precision, strategy, dominance...), reported as structured JSON on
 stdout; 64 malformed usage.  The environment variable ISOSLOPE_TABLE_LIMIT
-caps the dlog table size for extension fields.
+caps the dlog table size for extension fields, and the length p^N of the
+Gamma_p table that degree-1 traces at precision N are read from; a degree-1
+trace over the second cap reads a trace table instead, so only a field over
+the limit exits 2.
 """
 
 from __future__ import annotations
@@ -35,11 +38,15 @@ from .coweight import (
 )
 from .errors import IsoslopeError, MalformedInput, PrecisionInsufficient
 from .hyper import HypergeometricDatum, closed_points, point_spec, slopes_at_point
-from .scan import SCHEMA_VERSION, FamilySpec, point_record, rational_str, scan_family
+from .scan import FamilySpec, point_record, rational_str, scan_family
 
 EX_OK = 0
 EX_MATH = 2
 EX_USAGE = 64
+
+# schema of the hecke, coweight and error payloads; point records and scan
+# reports carry scan.SCHEMA_VERSION, which moves on its own
+PAYLOAD_SCHEMA_VERSION = "1"
 
 
 class _UsageError(Exception):
@@ -208,7 +215,7 @@ def cmd_hecke(args) -> int:
     newt = hecke_newton(vals)
     slopes = newton_to_slopes(newt, vals[-1])
     rec = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": PAYLOAD_SCHEMA_VERSION,
         "n": args.n,
         "t_vals": [rational_str(v) for v in vals],
         "newton": [rational_str(v) for v in newt],
@@ -244,7 +251,7 @@ def cmd_coweight(args) -> int:
         datum = _parse_datum_type(args.type)
         rep = small_gaps(datum, _parse_rational_list(args.coweight))
         rec = {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": PAYLOAD_SCHEMA_VERSION,
             "satisfied": rep.satisfied,
             "gaps": [rational_str(g) for g in rep.gaps],
             "violating": list(rep.violating),
@@ -253,13 +260,13 @@ def cmd_coweight(args) -> int:
     elif args.subcmd == "rho":
         datum = _parse_datum_type(args.type)
         rec = {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": PAYLOAD_SCHEMA_VERSION,
             "rho": [rational_str(v) for v in weyl_vector(datum)],
         }
     elif args.subcmd == "leq":
         datum = _parse_datum_type(args.type)
         rec = {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": PAYLOAD_SCHEMA_VERSION,
             "leq": dominance_leq(datum, _parse_rational_list(args.a),
                                  _parse_rational_list(args.b)),
         }
@@ -268,7 +275,7 @@ def cmd_coweight(args) -> int:
                                            _parse_rational(args.s),
                                            args.i, args.n)
         rec = {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": PAYLOAD_SCHEMA_VERSION,
             "interval": [rational_str(lo), rational_str(hi)],
         }
     emit_records([rec], args.format, sys.stdout)
@@ -359,7 +366,7 @@ def _error_payload(exc: IsoslopeError) -> dict:
     if isinstance(exc, PrecisionInsufficient):
         info["index"] = exc.index
         info["suggested_precision"] = exc.suggested_precision()
-    return {"schema_version": SCHEMA_VERSION, "error": info}
+    return {"schema_version": PAYLOAD_SCHEMA_VERSION, "error": info}
 
 
 def main(argv=None) -> int:

@@ -8,13 +8,16 @@ slopes are normalized by the point degree, so they live in (1/(m n)) Z and
 sum to n(n-1)/2.
 
 The pipeline: power traces over GF(p^(m j)) (tuple sums weighted by
-Teichmueller characters, folded by cyclic convolution in the dlog index
-domain), then the power-sum recursion b_r = -(1/r) sum b_i T_{r-i}, then a
-certified Newton polygon.  Coefficients the chosen strategy does not reach
-are filled in from the determinant twist (v(b_n) = m n(n-1)/2 exactly) and,
-for (anti)self-dual pairs, from the reciprocal-root symmetry
-gamma -> q^(n-1)/gamma, which gives v(b_{n-r}) = v(b'_r) + m(n(n-1)/2 -
-r(n-1)) against the dual datum c' = (p-1-c_i).
+Teichmueller characters), then the power-sum recursion
+b_r = -(1/r) sum b_i T_{r-i}, then a certified Newton polygon.  A degree-1
+point takes its traces from Jacobi sums read off a Gamma_p table (gauss.py)
+when p^j and p^N are within the table limit; every other point reads a
+trace table folded by cyclic convolution in the dlog index domain.
+Coefficients the chosen strategy does not reach are filled in from the
+determinant twist (v(b_n) = m n(n-1)/2 exactly) and, for (anti)self-dual
+pairs, from the reciprocal-root symmetry gamma -> q^(n-1)/gamma, which
+gives v(b_{n-r}) = v(b'_r) + m(n(n-1)/2 - r(n-1)) against the dual datum
+c' = (p-1-c_i).
 
 Everything is exact: residues mod p^N with explicit precision, Fractions
 downstream.  A residue that vanishes at working precision enters the hull
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import functools
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -40,6 +42,7 @@ from .arith import (
     field_create,
     is_prime,
     norm,
+    table_limit_from_env,
     teichmuller_table,
 )
 from .convolution import cyclic_convolve
@@ -52,6 +55,7 @@ from .errors import (
     RankTooLargeForP,
     StrategyUnavailable,
 )
+from .gauss import raw_trace
 from .polygon import HullPoint, SlopeVector, lower_hull, slopes_descending
 
 STRATEGIES = ("full", "det", "selfdual", "dualpair")
@@ -232,7 +236,8 @@ def closed_points(field: ExtField) -> list[PointSpec]:
 
 
 # ---------------------------------------------------------------------------
-# trace tables (dlog domain), memoized per field object from field_create
+# trace tables (dlog domain), memoized per field object from field_create,
+# and the routing between them and the Jacobi-sum engine
 # ---------------------------------------------------------------------------
 
 @functools.cache
@@ -249,20 +254,6 @@ def _norm_one_minus_table(field: ExtField) -> tuple[int, ...]:
     return tuple(sign * norm(field, y - 1 if y % p else y + p - 1) % p for y in field.exp)
 
 
-def _self_dual_split(datum: HypergeometricDatum) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(D, R): D the largest sub-multiset of c equal to its own dual (every
-    pair {a, p-1-a} and every copy of (p-1)/2), R the rest of c."""
-    p = datum.p
-    rest = Counter(datum.c)
-    part = []
-    for a in datum.c:
-        pair = (a,) if 2 * a == p - 1 else (a, p - 1 - a)
-        if all(rest[v] for v in pair):
-            rest.subtract(pair)
-            part.extend(pair)
-    return tuple(part), tuple(rest.elements())
-
-
 @functools.cache
 def _trace_table(datum: HypergeometricDatum, field: ExtField,
                  precision: int) -> array | tuple[int, ...]:
@@ -271,16 +262,11 @@ def _trace_table(datum: HypergeometricDatum, field: ExtField,
     Entry e is sum over unit tuples with product g^e of prod char values;
     no rank sign applied here.  The character row of c_i holds
     tau(norm(1 - g^e))^c_i mod p^N at e, read through a length-p row of
-    tau(v)^c_i over the residues v.
-
-    The table is the cyclic convolution of the rows of c.  When the
-    self-dual part D of c has at least two exponents and the rest R is not
-    empty, the fold starts from the (cached) table of D: the dual datum has
-    the same D, so a datum and its dual share that product.  A self-dual
-    datum, or one with no pair, folds its rows from the first.  Entries are
-    below p^precision, so the table is an array('q') when p^precision <=
-    2^63 and a tuple of ints otherwise.  The cache hands the same array to
-    every caller, so callers only read it.
+    tau(v)^c_i over the residues v, and the table is the left fold of the
+    rows of c by cyclic convolution.  Entries are below p^precision, so the
+    table is an array('q') when p^precision <= 2^63 and a tuple of ints
+    otherwise.  The cache hands the same array to every caller, so callers
+    only read it.
     """
     p = datum.p
     modulus = p ** precision
@@ -291,12 +277,8 @@ def _trace_table(datum: HypergeometricDatum, field: ExtField,
         row = [0] + [tau[pow(v, c, p)] for v in range(1, p)]
         return [row[nm] for nm in norms]
 
-    part, rest = _self_dual_split(datum)
-    if len(part) >= 2 and rest:
-        acc = _trace_table(HypergeometricDatum(p, part), field, precision)
-    else:
-        acc, rest = char_row(datum.c[0]), datum.c[1:]
-    for ci in rest:
+    acc = char_row(datum.c[0])
+    for ci in datum.c[1:]:
         acc = cyclic_convolve(acc, char_row(ci), modulus)
     return array("q", acc) if modulus <= 2 ** 63 else tuple(acc)
 
@@ -308,19 +290,30 @@ def frobenius_trace(datum: HypergeometricDatum, point: PointSpec, j: int,
     Equals (-1)^(n-1) times the tuple sum over GF(p^(m j)): the rank shift
     contributes the sign, so the raw sum itself is congruent mod p to
     (-1)^(n-1) N(u(x)) while the returned trace is congruent to N(u(x)).
+
+    A degree-1 point reads the sum from the Jacobi-sum engine (gauss.py)
+    when both p^j and p^precision, the length of its Gamma_p table, are
+    within the table limit; every other point reads one entry of the
+    GF(p^(m j)) trace table, whose construction refuses a field over the
+    limit.
     """
     if j < 1:
         raise MalformedInput(f"need j >= 1, got {j}")
-    if point.field.p != datum.p:
+    p, m = datum.p, point.field.m
+    if point.field.p != p:
         raise DatumMismatch(
-            f"point lives over GF({point.field.p}^{point.field.m}), datum has p = {datum.p}"
+            f"point lives over GF({point.field.p}^{m}), datum has p = {p}"
         )
-    big = field_create(datum.p, point.field.m * j)
-    y = embed_element(point.field, big, point.x)
-    raw = _trace_table(datum, big, precision)[big.dlog[y]]
+    limit = table_limit_from_env()
+    if m == 1 and p ** j <= limit and p ** precision <= limit:
+        raw = raw_trace(p, datum.c, j, precision, point.x)
+    else:
+        big = field_create(p, m * j)
+        y = embed_element(point.field, big, point.x)
+        raw = _trace_table(datum, big, precision)[big.dlog[y]]
     if datum.n % 2 == 0:
         raw = -raw
-    return PadicResidue(datum.p, precision, raw)
+    return PadicResidue(p, precision, raw)
 
 
 # ---------------------------------------------------------------------------

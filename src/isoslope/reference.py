@@ -76,6 +76,17 @@ def element_product_table(field: ExtField) -> np.ndarray:
     return table
 
 
+@functools.cache
+def inverse_table(field: ExtField) -> tuple[int, ...]:
+    """a^(-1) indexed by the element encoding of a, read off the product
+    table as the b with a * b = 1; entry 0 is 0."""
+    table = element_product_table(field)
+    out = np.argmax(table == 1, axis=1)
+    if any(table[a, out[a]] != 1 for a in range(1, field.q)):  # pragma: no cover
+        raise AssertionError("a unit without an inverse in the product table")
+    return tuple(int(b) for b in out)
+
+
 def trace_sums_all_points(c: tuple[int, ...], field: ExtField, precision: int) -> np.ndarray:
     """Raw tuple sums for every target at once, element-indexed.
 
@@ -110,7 +121,9 @@ def trace_sums_all_points(c: tuple[int, ...], field: ExtField, precision: int) -
 
 def trace_sum_at(c: tuple[int, ...], field: ExtField, x: int, precision: int,
                  tuple_budget: int = 5_000_000) -> int:
-    """Literal nested enumeration of (n-1)-tuples for a single target x."""
+    """Literal nested enumeration of (n-1)-tuples for a single target x; the
+    last factor is x times the inverse of the running product, read from
+    inverse_table, so n >= 2 needs q within element_product_table's cap."""
     if x == 0:
         raise MalformedInput("target must be a unit")
     n = len(c)
@@ -124,13 +137,14 @@ def trace_sum_at(c: tuple[int, ...], field: ExtField, x: int, precision: int,
 
     total = 0
     units = range(1, q)
+    inverse = inverse_table(field)
 
     def rec(depth: int, prod: int, val: int):
         nonlocal total
         if val == 0:
             return
         if depth == n - 1:
-            last = field._mul_raw(x, field._pow_raw(prod, q - 2))
+            last = field._mul_raw(x, inverse[prod])
             total = (total + val * tables[n - 1][last]) % modulus
             return
         for y in units:

@@ -91,7 +91,7 @@ def test_slopes_strategy_refusal_is_structured(capsys):
                        "--strategy", "selfdual", "--x", "3")
     assert code == 2
     payload = json.loads(out)
-    assert payload["schema_version"] == "2"
+    assert payload["schema_version"] == "1"
     assert payload["error"]["type"] == "StrategyUnavailable"
 
 
@@ -160,6 +160,17 @@ def test_table_limit_env(capsys, monkeypatch):
     monkeypatch.setenv("ISOSLOPE_TABLE_LIMIT", "100")
     code, out, _ = run(capsys, "slopes", "--p", "11", "--c", "1,2",
                        "--m", "2", "--x", "1,1")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "DegreeTooLarge"
+
+
+def test_a_frobenius_power_over_the_limit_still_exits_2(capsys, monkeypatch):
+    # 13^2 <= 200 < 13^3: traces j = 1, 2 at precision 1 fit the limit
+    # (the Jacobi-sum engine needs a Gamma_p table of 13 entries), but the
+    # j = 3 trace of the full strategy needs GF(13^3), which is refused
+    monkeypatch.setenv("ISOSLOPE_TABLE_LIMIT", "200")
+    code, out, _ = run(capsys, "slopes", "--p", "13", "--c", "1,5,7,11",
+                       "--strategy", "full", "--precision", "1", "--x", "2")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "DegreeTooLarge"
 
@@ -484,3 +495,27 @@ def test_coweight_bad_type(capsys):
     code, _, err = run(capsys, "coweight", "rho", "--type", "E8ish")
     assert code == 64
     assert "usage error" in err
+
+
+# -- schema versions ---------------------------------------------------------
+
+def test_schema_versions_are_pinned(capsys):
+    # point records and scan reports moved to "2" with the certified
+    # precision_used; the hecke, coweight and error payloads never changed
+    # their fields and stay at "1"
+    from isoslope.cli import PAYLOAD_SCHEMA_VERSION
+    from isoslope.scan import SCHEMA_VERSION
+    assert (SCHEMA_VERSION, PAYLOAD_SCHEMA_VERSION) == ("2", "1")
+    payloads = [
+        ("hecke", "--n", "2", "--t-vals", "0,0"),
+        ("coweight", "rho", "--type", "SL2"),
+        ("coweight", "small-gaps", "--type", "SL2", "--coweight", "1/2,-1/2"),
+        ("coweight", "leq", "--type", "GL2", "--a", "1,0", "--b", "1,0"),
+        ("coweight", "cohinterval", "--r", "0", "--s", "0", "--i", "1", "--n", "2"),
+        ("coweight", "rho", "--type", "GL3"),  # exit 2: an error payload
+    ]
+    for argv in payloads:
+        _, out, _ = run(capsys, *argv)
+        assert json.loads(out)["schema_version"] == PAYLOAD_SCHEMA_VERSION, argv
+    _, out, _ = run(capsys, "slopes", "--p", "7", "--c", "1,5,1", "--x", "3")
+    assert json.loads(out)["schema_version"] == SCHEMA_VERSION

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from isoslope import hyper
+from isoslope import gauss, hyper
 from isoslope.arith import embed_element, field_create, norm, teichmuller_table
 from isoslope.convolution import cyclic_convolve_schoolbook
 from isoslope.errors import (
@@ -31,7 +31,6 @@ from isoslope.hyper import (
     SlopeReport,
     _assert_report_sane,
     _norm_one_minus_table,
-    _self_dual_split,
     _trace_table,
     auto_precision,
     char_poly_valuations,
@@ -201,17 +200,21 @@ def test_norm_one_minus_table_matches_field_arithmetic(p, m):
 def test_trace_tables_are_reused_across_points():
     # c = (1, 11, 4) at p = 13 is not self-dual and its degree-1
     # degenerate points (roots of u_c = 1 + 8X and u_c' = 1 + 3X) are 8 and
-    # 4; each takes dualpair traces over GF(13) and GF(13^2)
+    # 4; each takes dualpair traces over GF(13) and GF(13^2), which the
+    # Jacobi-sum engine serves from one residue-class vector per datum and
+    # field, with no trace table
     d = HypergeometricDatum(13, (1, 11, 4))
     f = field_create(13, 1)
+    tables = _trace_table.cache_info()
     first = slopes_at_point(d, point_spec(f, 8))
     assert first.degenerate and not first.fast_path
-    before = _trace_table.cache_info()
+    before = gauss.residue_sums.cache_info()
     second = slopes_at_point(d, point_spec(f, 4))
     assert second.dual_degenerate and not second.fast_path
-    after = _trace_table.cache_info()
+    after = gauss.residue_sums.cache_info()
     assert after.misses == before.misses
     assert after.hits > before.hits
+    assert _trace_table.cache_info() == tables
 
 
 def _schoolbook_table(datum, field, precision):
@@ -240,7 +243,25 @@ def _schoolbook_table(datum, field, precision):
     (13, (6, 6, 6, 6), (6, 6, 6, 6), ()),
 ])
 def test_self_dual_split(p, c, part, rest):
-    assert _self_dual_split(HypergeometricDatum(p, c)) == (part, rest)
+    # splitting c into its self-dual part D (every pair {a, p-1-a} and
+    # every copy of (p-1)/2) and the rest R factors the tuple sum: the
+    # trace table of c is the cyclic convolution of the tables of D and R.
+    # The Jacobi-sum engine's degree-1 traces equal that convolution,
+    # read at GF(p)* inside GF(p^f), for f = 1, 2.
+    assert sorted(part + rest) == list(c)
+    assert sorted(p - 1 - a for a in part) == sorted(part)
+    assert not any(p - 1 - a in rest for a in rest)
+    precision = 3
+    small = field_create(p, 1)
+    for f in (1, 2):
+        big = field_create(p, f)
+        tables = [_trace_table(HypergeometricDatum(p, sub), big, precision)
+                  for sub in (part, rest) if sub]
+        table = tables[0] if len(tables) == 1 else \
+            cyclic_convolve_schoolbook(*tables, p ** precision)
+        for x in range(1, p):
+            y = embed_element(small, big, x)
+            assert gauss.raw_trace(p, c, f, precision, x) == table[big.dlog[y]]
 
 
 _SHARED_PART_DATUMS = [
@@ -252,9 +273,9 @@ _SHARED_PART_DATUMS = [
 @pytest.mark.parametrize("p, c", _SHARED_PART_DATUMS,
                          ids=[f"{p}-{c}" for p, c in _SHARED_PART_DATUMS])
 def test_trace_table_equals_a_schoolbook_fold(p, c, m):
-    # triple-gap datums (c3 = 1 and p - 2 included) start from the shared
-    # table of {1, p-2}; (1, 2, 3, 15) from that of {1, 15}; the self-dual
-    # datums fold their own rows.  Word-sized moduli give array('q') tables.
+    # triple-gap datums (c3 = 1 and p - 2 included), datums with a
+    # self-dual part and self-dual datums alike fold their own rows.
+    # Word-sized moduli give array('q') tables.
     d = HypergeometricDatum(p, c)
     f = field_create(p, m)
     word = max(n for n in range(1, 64) if p ** n <= 2 ** 63)
@@ -265,24 +286,32 @@ def test_trace_table_equals_a_schoolbook_fold(p, c, m):
 
 
 def test_triple_gap_datums_share_one_product_per_field(monkeypatch):
-    # every datum of the p = 13 triple-gap family and its dual contain
-    # {1, 11}: its rows are convolved once per field, and each datum's
-    # table is one convolution more (a plain left fold takes two a datum)
-    lengths = []
+    # every degree-1 trace of the p = 13 triple-gap family comes from the
+    # Jacobi-sum engine: no trace table and no convolution.  The Gamma_p
+    # table and the orbit data of each field are built once and shared by
+    # all ten datums; each datum builds one residue-class vector per field
+    # (the family is closed under duality, so the duals add none)
+    calls = []
     real = hyper.cyclic_convolve
 
     def counting(a, b, modulus):
-        lengths.append(len(a))
+        calls.append(len(a))
         return real(a, b, modulus)
 
     monkeypatch.setattr(hyper, "cyclic_convolve", counting)
-    _trace_table.cache_clear()
+    for cache in (_trace_table, gauss.gamma_table, gauss._orbit_data,
+                  gauss.residue_sums):
+        cache.cache_clear()
     members = [HypergeometricDatum(13, (1, c3, 11)) for c3 in range(1, 12) if c3 != 6]
     for d in members:
         for pt in closed_points(field_create(13, 1)):
             slopes_at_point(d, pt)
     assert len(members) == 10
-    assert sorted(lengths) == [12] * 11 + [168] * 11
+    assert calls == []
+    assert _trace_table.cache_info().currsize == 0
+    assert gauss.gamma_table.cache_info().currsize == 1
+    assert gauss._orbit_data.cache_info().currsize == 2
+    assert gauss.residue_sums.cache_info().misses == 20
 
 
 def test_trace_input_guards():
@@ -371,34 +400,33 @@ def test_self_dual_rank4_strategies_agree():
     assert len(set(got.values())) == 1
 
 
-def _table_misses(datum, x, strategy):
-    """Trace-table misses of one slopes_at_point call from a cold cache:
-    (own side, partner side), the own side being the datum's traces
+def _engine_misses(datum, x, strategy):
+    """Residue-class vector misses of one slopes_at_point call from a cold
+    cache: (own side, partner side), the own side being the datum's traces
     j <= ceil(n/2) at the precision the call starts at (every point used
     here certifies there)."""
-    _trace_table.cache_clear()
+    gauss.residue_sums.cache_clear()
     pt = point_spec(field_create(datum.p, 1), x)
     precision = start_precision(datum.n, 1, strategy)
     for j in range(1, (datum.n + 1) // 2 + 1):
         frobenius_trace(datum, pt, j, precision)
-    own = _trace_table.cache_info().misses
+    own = gauss.residue_sums.cache_info().misses
     slopes_at_point(datum, pt, strategy)
-    return own, _trace_table.cache_info().misses - own
+    return own, gauss.residue_sums.cache_info().misses - own
 
 
 def test_selfdual_partner_side_reuses_the_trace_tables():
     # a self-dual datum is its own dual, so the partner half of selfdual
-    # reads the tables its own half built; its own half builds one table
-    # per field and no table of a part of c
+    # reads the residue-class vectors its own half built; its own half
+    # builds one vector per field and none for a part of c
     for p, c, x in ((13, (1, 5, 7, 11), 2), (7, (1, 3, 5), 3), (13, (6, 6, 6, 6), 2)):
         d = HypergeometricDatum(p, c)
         assert is_self_dual(d)
-        assert _table_misses(d, x, "selfdual") == (2, 0)
-    # the count does see a distinct dual datum's tables being built
-    assert _table_misses(HypergeometricDatum(17, (1, 2, 3, 5)), 3, "dualpair") == (2, 2)
-    # the pair {1, 15} gets a table per field on the own side, which the
-    # dual (1, 13, 14, 15) reuses
-    assert _table_misses(HypergeometricDatum(17, (1, 2, 3, 15)), 3, "dualpair") == (4, 2)
+        assert _engine_misses(d, x, "selfdual") == (2, 0)
+    # the count does see a distinct dual datum's vectors being built, and
+    # a self-dual part of c gets no vector of its own
+    assert _engine_misses(HypergeometricDatum(17, (1, 2, 3, 5)), 3, "dualpair") == (2, 2)
+    assert _engine_misses(HypergeometricDatum(17, (1, 2, 3, 15)), 3, "dualpair") == (2, 2)
 
 
 def test_explicit_precision_too_low_refuses():
