@@ -274,8 +274,8 @@ _SHARED_PART_DATUMS = [
                          ids=[f"{p}-{c}" for p, c in _SHARED_PART_DATUMS])
 def test_trace_table_equals_a_schoolbook_fold(p, c, m):
     # triple-gap datums (c3 = 1 and p - 2 included), datums with a
-    # self-dual part and self-dual datums alike fold their own rows.
-    # Word-sized moduli give array('q') tables.
+    # self-dual part and self-dual datums; word-sized moduli give
+    # array('q') tables
     d = HypergeometricDatum(p, c)
     f = field_create(p, m)
     word = max(n for n in range(1, 64) if p ** n <= 2 ** 63)
