@@ -31,7 +31,6 @@ import os
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import (
     DegreeTooLarge,
@@ -567,62 +566,33 @@ def teichmuller_table(p: int, precision: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# field embeddings (needed to read traces of a degree-m point over GF(p^(mj)))
+# field embeddings (where a degree-m point's GF(p^m)* sits in GF(p^(mj))*)
 # ---------------------------------------------------------------------------
 
-def _min_poly(field: ExtField, a: int):
-    """Minimal polynomial of a over GF(p), as GF(p) coefficients."""
-    poly = [1]  # element-coefficient poly, little-endian
-    for b in field.frobenius_orbit(a):
-        # multiply by (X - b)
-        nxt = [0] * (len(poly) + 1)
-        for i, ci in enumerate(poly):
-            nxt[i + 1] = field.add(nxt[i + 1], ci)
-            nxt[i] = field.add(nxt[i], field.mul(field.neg(b), ci))
-        poly = nxt
-    out = []
-    for ci in poly:
-        if ci >= field.p:
-            raise AssertionError("minimal polynomial left the prime field")  # pragma: no cover
-        out.append(ci)
-    return out
-
-
-@functools.cache
 def embed_generator_dlog(small: ExtField, big: ExtField) -> int:
     """dlog (in `big`) of the image of small.generator under a field embedding.
 
-    Any embedding works: downstream sums are Frobenius-invariant.  The image
-    must be a root of the generator's minimal polynomial, searched among
-    elements of exact order q_small - 1.
+    Any embedding works: downstream sums are Frobenius-invariant.  X goes
+    to the first root r of small's modulus among the units of the copy of
+    GF(q_small) in big, the powers of g^((Q-1)/(q_small-1)); the
+    generator, a polynomial in X, goes to its value at r.
     """
     if small.p != big.p or big.m % small.m != 0:
         raise FieldMismatch(
             f"no embedding GF({small.p}^{small.m}) -> GF({big.p}^{big.m})"
         )
-    if small.m == big.m:
-        result = big.dlog[small.generator] if small.q == big.q else None
-        if result is None:  # pragma: no cover
-            raise FieldMismatch("same-degree fields of different size")
-    else:
-        mp = _min_poly(small, small.generator)
-        stride = (big.q - 1) // (small.q - 1)
-        order = small.q - 1
-        result = None
-        for u in range(1, order + 1):
-            if gcd(u, order) != 1:
-                continue
-            cand = (u * stride) % (big.q - 1)
-            if big.eval_poly(mp, big.exp[cand]) == 0:
-                result = cand
-                break
-        if result is None:  # pragma: no cover
-            raise AssertionError("no embedding found")
-    return result
+    if small.m in (1, big.m):
+        return big.dlog[small.generator]
+    stride = (big.q - 1) // (small.q - 1)
+    for u in range(small.q - 1):
+        r = big.exp[u * stride]
+        if big.eval_poly(small.modulus, r) == 0:
+            return big.dlog[big.eval_poly(small._digits_of(small.generator), r)]
+    raise AssertionError("no embedding found")  # pragma: no cover
 
 
 def embed_element(small: ExtField, big: ExtField, x: int) -> int:
-    """Image of x in the bigger field under the cached embedding."""
+    """Image of x in the bigger field under embed_generator_dlog's embedding."""
     if x == 0:
         return 0
     t = embed_generator_dlog(small, big)

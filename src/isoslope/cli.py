@@ -37,8 +37,14 @@ from .coweight import (
     weyl_vector,
 )
 from .errors import IsoslopeError, MalformedInput, PrecisionInsufficient
-from .hyper import HypergeometricDatum, closed_points, point_spec, slopes_at_point
-from .scan import FamilySpec, point_record, rational_str, scan_family
+from .hyper import (
+    STRATEGIES,
+    HypergeometricDatum,
+    closed_points,
+    point_spec,
+    slopes_at_point,
+)
+from .scan import FAMILY_KINDS, FamilySpec, point_record, rational_str, scan_family
 
 EX_OK = 0
 EX_MATH = 2
@@ -172,7 +178,10 @@ def cmd_scan(args) -> int:
     spec = FamilySpec(args.family, p_min, p_max, c, args.m_max)
     if args.workers < 1:
         raise MalformedInput(f"need workers >= 1, got {args.workers}")
-    report = scan_family(spec, checkpoint=args.checkpoint)
+    try:
+        report = scan_family(spec, checkpoint=args.checkpoint)
+    except OSError as exc:
+        raise MalformedInput(f"--checkpoint {args.checkpoint}: {exc.strerror or exc}") from None
 
     if args.format == "json":
         payload = report.to_bytes().decode()
@@ -183,7 +192,10 @@ def cmd_scan(args) -> int:
         def write(stream):
             emit_records(list(report.records), args.format, stream)
     if args.out:
-        _write_atomically(args.out, write)
+        try:
+            _write_atomically(args.out, write)
+        except OSError as exc:
+            raise MalformedInput(f"--out {args.out}: {exc.strerror or exc}") from None
     else:
         write(sys.stdout)
 
@@ -301,15 +313,13 @@ def build_parser() -> _Parser:
     p.add_argument("--c", required=True, help="comma list of exponents")
     p.add_argument("--x", help="point: residue, or m little-endian coefficients")
     p.add_argument("--m", type=int, default=1, help="point degree (default 1)")
-    p.add_argument("--strategy", default="auto",
-                   choices=("auto", "full", "det", "selfdual", "dualpair"))
+    p.add_argument("--strategy", default="auto", choices=("auto", *STRATEGIES))
     p.add_argument("--precision", default="auto")
     _add_format(p)
     p.set_defaults(func=cmd_slopes)
 
     p = sub.add_parser("scan", help="sweep a datum family")
-    p.add_argument("--family", required=True,
-                   choices=("quintic", "triplegap", "explicit"))
+    p.add_argument("--family", required=True, choices=FAMILY_KINDS)
     p.add_argument("--p-range", required=True, help="inclusive, as a..b")
     p.add_argument("--c", help="exponents for --family explicit")
     p.add_argument("--m-max", type=int, default=1)

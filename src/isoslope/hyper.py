@@ -11,8 +11,9 @@ The pipeline: power traces over GF(p^(m j)) (tuple sums weighted by
 Teichmueller characters), then the power-sum recursion
 b_r = -(1/r) sum b_i T_{r-i}, then a certified Newton polygon.  A degree-1
 point takes its traces from Jacobi sums read off a Gamma_p table (gauss.py)
-when p^j and p^N are within the table limit; every other point reads a
-trace table folded by cyclic convolution in the dlog index domain.
+when p^j and p^N are within the table limit; every other point reads the
+slice of a GF(p^(m j)) trace table, folded by cyclic convolution in the
+dlog index domain, at the embedded units of GF(p^m).
 Coefficients the chosen strategy does not reach are filled in from the
 determinant twist (v(b_n) = m n(n-1)/2 exactly) and, for (anti)self-dual
 pairs, from the reciprocal-root symmetry gamma -> q^(n-1)/gamma, which
@@ -38,7 +39,7 @@ from .arith import (
     ExtField,
     PadicResidue,
     Valuation,
-    embed_element,
+    embed_generator_dlog,
     field_create,
     is_prime,
     norm,
@@ -236,8 +237,8 @@ def closed_points(field: ExtField) -> list[PointSpec]:
 
 
 # ---------------------------------------------------------------------------
-# trace tables (dlog domain), memoized per field object from field_create,
-# and the routing between them and the Jacobi-sum engine
+# trace tables (dlog domain), the subfield slices points read from them,
+# and the routing between those and the Jacobi-sum engine
 # ---------------------------------------------------------------------------
 
 @functools.cache
@@ -254,19 +255,15 @@ def _norm_one_minus_table(field: ExtField) -> tuple[int, ...]:
     return tuple(sign * norm(field, y - 1 if y % p else y + p - 1) % p for y in field.exp)
 
 
-@functools.cache
 def _trace_table(datum: HypergeometricDatum, field: ExtField,
-                 precision: int) -> array | tuple[int, ...]:
+                 precision: int) -> list[int]:
     """Raw tuple sums indexed by target dlog, mod p^precision.
 
     Entry e is sum over unit tuples with product g^e of prod char values;
     no rank sign applied here.  The character row of c_i holds
     tau(norm(1 - g^e))^c_i mod p^N at e, read through a length-p row of
     tau(v)^c_i over the residues v, and the table is the left fold of the
-    rows of c by cyclic convolution.  Entries are below p^precision, so the
-    table is an array('q') when p^precision <= 2^63 and a tuple of ints
-    otherwise.  The cache hands the same array to every caller, so callers
-    only read it.
+    rows of c by cyclic convolution.
     """
     p = datum.p
     modulus = p ** precision
@@ -280,7 +277,27 @@ def _trace_table(datum: HypergeometricDatum, field: ExtField,
     acc = char_row(datum.c[0])
     for ci in datum.c[1:]:
         acc = cyclic_convolve(acc, char_row(ci), modulus)
-    return array("q", acc) if modulus <= 2 ** 63 else tuple(acc)
+    return acc
+
+
+@functools.cache
+def _subfield_traces(datum: HypergeometricDatum, m: int, j: int,
+                     precision: int) -> array | tuple[int, ...]:
+    """Raw tuple sums over GF(p^(m j)) at the embedded units of GF(p^m),
+    indexed by dlog in GF(p^m), mod p^precision.
+
+    Entry k is the trace table's entry k t, g^t being the image of the
+    generator of GF(p^m); at j = 1 that is the whole table.  A degree-m
+    point reads no other entry, so the table is not kept.  The slice is an
+    array('q') when p^precision <= 2^63 and a tuple of ints otherwise;
+    the cache hands it to every caller, so callers only read it.
+    """
+    p = datum.p
+    small, big = field_create(p, m), field_create(p, m * j)
+    table = _trace_table(datum, big, precision)
+    t, order = embed_generator_dlog(small, big), big.q - 1
+    traces = [table[k * t % order] for k in range(small.q - 1)]
+    return array("q", traces) if p ** precision <= 2 ** 63 else tuple(traces)
 
 
 def frobenius_trace(datum: HypergeometricDatum, point: PointSpec, j: int,
@@ -293,9 +310,10 @@ def frobenius_trace(datum: HypergeometricDatum, point: PointSpec, j: int,
 
     A degree-1 point reads the sum from the Jacobi-sum engine (gauss.py)
     when both p^j and p^precision, the length of its Gamma_p table, are
-    within the table limit; every other point reads one entry of the
-    GF(p^(m j)) trace table, whose construction refuses a field over the
-    limit.
+    within the table limit; every other point reads its entry of the
+    cached subfield slice of the GF(p^(m j)) trace table.  The field size
+    is checked against the limit on every call, so a lowered limit refuses
+    a slice built earlier.
     """
     if j < 1:
         raise MalformedInput(f"need j >= 1, got {j}")
@@ -308,9 +326,8 @@ def frobenius_trace(datum: HypergeometricDatum, point: PointSpec, j: int,
     if m == 1 and p ** j <= limit and p ** precision <= limit:
         raw = raw_trace(p, datum.c, j, precision, point.x)
     else:
-        big = field_create(p, m * j)
-        y = embed_element(point.field, big, point.x)
-        raw = _trace_table(datum, big, precision)[big.dlog[y]]
+        field_create(p, m * j)  # the limit check, also for a cached slice
+        raw = _subfield_traces(datum, m, j, precision)[point.dlog]
     if datum.n % 2 == 0:
         raw = -raw
     return PadicResidue(p, precision, raw)

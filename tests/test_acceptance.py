@@ -127,7 +127,7 @@ def test_criterion_3_trace_engine_equivalence():
                 for pt in pts_by_k[k]:
                     tr = frobenius_trace(datum, pt, 1, 1).value
                     if tr != sign * int(ref[pt.x]) % p or tr != unit_root_eval(datum, pt):
-                        note(f"convolution trace: p={p} c={datum.c} k={k} x={pt.x}")
+                        note(f"trace: p={p} c={datum.c} k={k} x={pt.x}")
                         break
                 point_checks += len(pts_by_k[k])
             for j in (2, 3):
@@ -149,7 +149,8 @@ def test_criterion_3_trace_engine_equivalence():
     _verdict(3, "trace engine equivalence", ok,
              f"659 datums (p<=13, n<=3), fields up to degree 3: vectorized "
              f"enumeration == +-N(u(x)) mod p at {unit_checks} units, == "
-             f"convolution engine at {point_checks} closed-point/Frobenius-power "
+             f"Jacobi-sum engine (degree 1, j = 1, 2, 3) and trace tables "
+             f"(degree 2, 3) at {point_checks} closed-point/Frobenius-power "
              f"pairs, {spot_checks} literal tuple-sum spot checks; "
              f"mismatches={bad}; {dt:.1f}s")
 

@@ -285,16 +285,17 @@ def test_valuation_repr_and_bound():
 
 
 def test_embed_element_is_a_field_homomorphism():
-    small = field_create(3, 2)
-    big = field_create(3, 4)
-    img = {x: embed_element(small, big, x) for x in range(small.q)}
-    assert img[0] == 0 and img[1] == 1
-    for a in range(small.q):
-        for b in range(small.q):
-            assert img[small.mul(a, b)] == big.mul(img[a], img[b])
-            assert img[small.add(a, b)] == big.add(img[a], img[b])
-    # image elements keep their degree over the prime field
-    assert big.element_degree(img[small.generator]) == 2
+    for p, m, big_m in ((3, 2, 4), (2, 3, 6), (3, 3, 6), (7, 2, 6)):
+        small = field_create(p, m)
+        big = field_create(p, big_m)
+        img = {x: embed_element(small, big, x) for x in range(small.q)}
+        assert img[0] == 0 and img[1] == 1
+        for a in range(small.q):
+            for b in range(small.q):
+                assert img[small.mul(a, b)] == big.mul(img[a], img[b])
+                assert img[small.add(a, b)] == big.add(img[a], img[b])
+        # image elements keep their degree over the prime field
+        assert big.element_degree(img[small.generator]) == m
 
 
 def test_embed_element_same_field_is_identity():

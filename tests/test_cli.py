@@ -288,6 +288,50 @@ def test_scan_out_is_replaced_only_when_complete(capsys, tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]
 
 
+def test_scan_out_in_a_missing_directory_is_a_usage_error(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "scan", "--family", "triplegap",
+                         "--p-range", "5", "--out", str(out_path))
+    assert code == 64
+    assert out == ""
+    assert err.startswith(f"usage error: --out {out_path}:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scan_out_that_cannot_be_replaced_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    out_path = tmp_path / "report.json"
+    out_path.write_bytes(b"an earlier report\n")
+
+    def refusing_replace(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr("isoslope.cli.os.replace", refusing_replace)
+    code, out, err = run(capsys, "scan", "--family", "triplegap",
+                         "--p-range", "5", "--out", str(out_path))
+    assert code == 64
+    assert err.startswith(f"usage error: --out {out_path}: Permission denied")
+    assert out_path.read_bytes() == b"an earlier report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_scan_checkpoint_in_a_missing_directory_is_a_usage_error(capsys, tmp_path):
+    ckpt = tmp_path / "missing" / "ck.ndjson"
+    code, out, err = run(capsys, "scan", "--family", "triplegap",
+                         "--p-range", "5", "--checkpoint", str(ckpt))
+    assert code == 64
+    assert out == ""
+    assert err.startswith(f"usage error: --checkpoint {ckpt}:")
+
+
+def test_scan_checkpoint_that_is_a_directory_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "scan", "--family", "triplegap",
+                         "--p-range", "5", "--checkpoint", str(tmp_path))
+    assert code == 64
+    assert out == ""
+    assert err.startswith(f"usage error: --checkpoint {tmp_path}:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scan_explicit_needs_c(capsys):
     code, _, err = run(capsys, "scan", "--family", "explicit", "--p-range", "7")
     assert code == 64

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from isoslope import gauss, hyper
 from isoslope.arith import embed_element, field_create, teichmuller_table
-from isoslope.hyper import HypergeometricDatum, _trace_table, frobenius_trace, point_spec
+from isoslope.hyper import (
+    HypergeometricDatum,
+    _subfield_traces,
+    _trace_table,
+    frobenius_trace,
+    point_spec,
+)
 
 
 def _table_traces(datum, f, precision):
@@ -78,28 +84,29 @@ def test_gamma_table_reflection():
 
 def test_precision_over_the_limit_falls_back_to_the_table(monkeypatch):
     # p^j = 49 <= 100 < 343 = p^N: no Gamma_p table of length p^N, so the
-    # trace comes from the GF(49) table and equals the engine's value
+    # trace comes from the GF(7)* slice of the GF(49) table and equals the
+    # engine's value
     datum = HypergeometricDatum(7, (1, 2, 4))
     pt = point_spec(field_create(7, 1), 3)
     engine = frobenius_trace(datum, pt, 2, 3)
     monkeypatch.setenv("ISOSLOPE_TABLE_LIMIT", "100")
-    _trace_table.cache_clear()
+    _subfield_traces.cache_clear()
     gauss.residue_sums.cache_clear()
     fallback = frobenius_trace(datum, pt, 2, 3)
-    assert _trace_table.cache_info().misses == 1
+    assert _subfield_traces.cache_info().misses == 1
     assert gauss.residue_sums.cache_info().misses == 0
     assert fallback == engine
-    # within the limit the engine serves it again, with no new table
+    # within the limit the engine serves it again, with no new slice
     assert frobenius_trace(datum, pt, 2, 2).value == engine.value % 49
-    assert _trace_table.cache_info().misses == 1
+    assert _subfield_traces.cache_info().misses == 1
     assert gauss.residue_sums.cache_info().misses == 1
 
 
 def test_degree_two_points_stay_on_the_table():
     datum = HypergeometricDatum(7, (2, 4))
     pt = hyper.closed_points(field_create(7, 2))[0]
-    _trace_table.cache_clear()
+    _subfield_traces.cache_clear()
     gauss.residue_sums.cache_clear()
     frobenius_trace(datum, pt, 1, 2)
-    assert _trace_table.cache_info().misses == 1
+    assert _subfield_traces.cache_info().misses == 1
     assert gauss.residue_sums.cache_info().misses == 0

@@ -9,6 +9,7 @@ Full-census fixtures live in the acceptance suite.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from array import array
 from fractions import Fraction
@@ -20,6 +21,7 @@ from isoslope.arith import embed_element, field_create, norm, teichmuller_table
 from isoslope.convolution import cyclic_convolve_schoolbook
 from isoslope.errors import (
     DatumMismatch,
+    DegreeTooLarge,
     MalformedInput,
     NotPrime,
     PrecisionInsufficient,
@@ -31,6 +33,7 @@ from isoslope.hyper import (
     SlopeReport,
     _assert_report_sane,
     _norm_one_minus_table,
+    _subfield_traces,
     _trace_table,
     auto_precision,
     char_poly_valuations,
@@ -205,7 +208,7 @@ def test_trace_tables_are_reused_across_points():
     # field, with no trace table
     d = HypergeometricDatum(13, (1, 11, 4))
     f = field_create(13, 1)
-    tables = _trace_table.cache_info()
+    slices = _subfield_traces.cache_info()
     first = slopes_at_point(d, point_spec(f, 8))
     assert first.degenerate and not first.fast_path
     before = gauss.residue_sums.cache_info()
@@ -214,7 +217,7 @@ def test_trace_tables_are_reused_across_points():
     after = gauss.residue_sums.cache_info()
     assert after.misses == before.misses
     assert after.hits > before.hits
-    assert _trace_table.cache_info() == tables
+    assert _subfield_traces.cache_info() == slices
 
 
 def _schoolbook_table(datum, field, precision):
@@ -274,15 +277,65 @@ _SHARED_PART_DATUMS = [
                          ids=[f"{p}-{c}" for p, c in _SHARED_PART_DATUMS])
 def test_trace_table_equals_a_schoolbook_fold(p, c, m):
     # triple-gap datums (c3 = 1 and p - 2 included), datums with a
-    # self-dual part and self-dual datums; word-sized moduli give
-    # array('q') tables
+    # self-dual part and self-dual datums; at j = 1 the slice is the whole
+    # table, and word-sized moduli give array('q') slices
     d = HypergeometricDatum(p, c)
     f = field_create(p, m)
     word = max(n for n in range(1, 64) if p ** n <= 2 ** 63)
     for precision in (3, word, word + 1):
         table = _trace_table(d, f, precision)
-        assert type(table) is (array if precision <= word else tuple)
-        assert list(table) == _schoolbook_table(d, f, precision)
+        assert table == _schoolbook_table(d, f, precision)
+        traces = _subfield_traces(d, m, 1, precision)
+        assert type(traces) is (array if precision <= word else tuple)
+        assert list(traces) == table
+
+
+def _table_reads(d, m, j, precision):
+    """The GF(p^(m j)) trace-table entry at the image of each degree-m
+    closed point, keyed by the point's dlog: one embed_element and one
+    table read per point."""
+    small, big = field_create(d.p, m), field_create(d.p, m * j)
+    table = _trace_table(d, big, precision)
+    return {pt.dlog: table[big.dlog[embed_element(small, big, pt.x)]]
+            for pt in closed_points(small)}
+
+
+def _slice_reads(d, m, j, precision):
+    traces = _subfield_traces(d, m, j, precision)
+    assert len(traces) == d.p ** m - 1
+    return {pt.dlog: traces[pt.dlog] for pt in closed_points(field_create(d.p, m))}
+
+
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize("p, c", _SHARED_PART_DATUMS,
+                         ids=[f"{p}-{c}" for p, c in _SHARED_PART_DATUMS])
+def test_subfield_slices_equal_the_table_reads(p, c, m):
+    d = HypergeometricDatum(p, c)
+    for j in (1, 2):
+        assert _slice_reads(d, m, j, 3) == _table_reads(d, m, j, 3)
+
+
+@pytest.mark.parametrize("m", (2, 3))
+def test_subfield_slices_equal_the_table_reads_at_p7(m):
+    # every datum of rank <= 3 at p = 7, at its degree-2 and degree-3 points
+    for n in (1, 2, 3):
+        for c in itertools.combinations_with_replacement(range(1, 6), n):
+            d = HypergeometricDatum(7, c)
+            assert _slice_reads(d, m, 1, 3) == _table_reads(d, m, 1, 3)
+
+
+def test_a_lowered_limit_refuses_a_cached_slice(monkeypatch):
+    # the limit is read on every trace, so a slice of GF(11^4) built for a
+    # degree-2 point is refused once the limit drops below 11^4
+    d = HypergeometricDatum(11, (4, 5, 6))
+    pt = closed_points(field_create(11, 2))[0]
+    frobenius_trace(d, pt, 2, 2)
+    hits = _subfield_traces.cache_info().hits
+    frobenius_trace(d, pt, 2, 2)
+    assert _subfield_traces.cache_info().hits == hits + 1
+    monkeypatch.setenv("ISOSLOPE_TABLE_LIMIT", "1000")
+    with pytest.raises(DegreeTooLarge):
+        frobenius_trace(d, pt, 2, 2)
 
 
 def test_triple_gap_datums_share_one_product_per_field(monkeypatch):
@@ -299,7 +352,7 @@ def test_triple_gap_datums_share_one_product_per_field(monkeypatch):
         return real(a, b, modulus)
 
     monkeypatch.setattr(hyper, "cyclic_convolve", counting)
-    for cache in (_trace_table, gauss.gamma_table, gauss._orbit_data,
+    for cache in (_subfield_traces, gauss.gamma_table, gauss._orbit_data,
                   gauss.residue_sums):
         cache.cache_clear()
     members = [HypergeometricDatum(13, (1, c3, 11)) for c3 in range(1, 12) if c3 != 6]
@@ -308,7 +361,7 @@ def test_triple_gap_datums_share_one_product_per_field(monkeypatch):
             slopes_at_point(d, pt)
     assert len(members) == 10
     assert calls == []
-    assert _trace_table.cache_info().currsize == 0
+    assert _subfield_traces.cache_info().currsize == 0
     assert gauss.gamma_table.cache_info().currsize == 1
     assert gauss._orbit_data.cache_info().currsize == 2
     assert gauss.residue_sums.cache_info().misses == 20
