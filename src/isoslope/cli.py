@@ -55,15 +55,11 @@ EX_USAGE = 64
 PAYLOAD_SCHEMA_VERSION = "1"
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems with exit code 64."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise MalformedInput(message)
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -116,17 +112,22 @@ def emit_records(records: list[dict], fmt: str, stream) -> None:
         writer.writerow([_csv_cell(rec.get(k)) for k in header])
 
 
-def _write_atomically(path: str, write) -> None:
-    """write(stream) into a temp file beside path, then move it over path,
-    so a failed write leaves an existing file as it was."""
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Yield a stream into a temp file beside path and move it over path on
+    a clean exit.  The temp file is made on entry, so an unusable path is a
+    usage error before any work is done; on any failure it is removed, so
+    an existing file at path is left as it was."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "x", encoding="utf-8", newline="") as fh:
-            write(fh)
+            yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise MalformedInput(f"--out {path}: {exc.strerror or exc}") from None
         raise
 
 
@@ -178,26 +179,16 @@ def cmd_scan(args) -> int:
     spec = FamilySpec(args.family, p_min, p_max, c, args.m_max)
     if args.workers < 1:
         raise MalformedInput(f"need workers >= 1, got {args.workers}")
-    try:
-        report = scan_family(spec, checkpoint=args.checkpoint)
-    except OSError as exc:
-        raise MalformedInput(f"--checkpoint {args.checkpoint}: {exc.strerror or exc}") from None
-
-    if args.format == "json":
-        payload = report.to_bytes().decode()
-
-        def write(stream):
-            stream.write(payload)
-    else:
-        def write(stream):
-            emit_records(list(report.records), args.format, stream)
-    if args.out:
+    with _replacing(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
         try:
-            _write_atomically(args.out, write)
+            report = scan_family(spec, checkpoint=args.checkpoint)
         except OSError as exc:
-            raise MalformedInput(f"--out {args.out}: {exc.strerror or exc}") from None
-    else:
-        write(sys.stdout)
+            raise MalformedInput(
+                f"--checkpoint {args.checkpoint}: {exc.strerror or exc}") from None
+        if args.format == "json":
+            out.write(report.to_bytes().decode())
+        else:
+            emit_records(list(report.records), args.format, out)
 
     expected = sum(1 for v in report.violations if v["expected"])
     summary = (f"{spec.kind} p in [{p_min}, {p_max}]: {report.datum_count} datums, "
@@ -384,9 +375,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EX_USAGE
     except MalformedInput as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE

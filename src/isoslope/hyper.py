@@ -389,30 +389,24 @@ def start_precision(n: int, m: int, strategy: str) -> int:
     return m * k * (k - 1) // 2 + 1
 
 
-def _power_traces(datum: HypergeometricDatum, point: PointSpec, jmax: int,
-                  precision: int) -> dict[int, PadicResidue]:
-    return {
-        j: frobenius_trace(datum, point, j, precision)
-        for j in range(1, jmax + 1)
-    }
-
-
-def _coeffs_from_traces(traces: dict[int, PadicResidue], p: int, precision: int,
-                        jmax: int) -> list[PadicResidue]:
-    """b_0..b_jmax from the power-sum recursion r b_r = -sum b_i T_{r-i}."""
+def _coefficients(datum: HypergeometricDatum, point: PointSpec, jmax: int,
+                  precision: int) -> list[PadicResidue]:
+    """b_0..b_jmax at the point from the power-sum recursion
+    r b_r = -sum b_i T_{r-i} over the traces T_1..T_jmax; b_1 = -T_1 must
+    be -N(u(x)) mod p, the datum's mod-p degeneracy value."""
+    p = datum.p
+    traces = {j: frobenius_trace(datum, point, j, precision) for j in range(1, jmax + 1)}
     b = [PadicResidue(p, precision, 1)]
     for r in range(1, jmax + 1):
         s = b[0] * traces[r]
         for i in range(1, r):
             s = s + b[i] * traces[r - i]
         b.append((-s).div_unit(r))
+    if jmax >= 1 and (b[1].value + unit_root_eval(datum, point)) % p != 0:
+        raise AssertionError(
+            f"b_1 disagrees with the mod-p degeneracy value of c = {datum.c}"
+        )
     return b
-
-
-def _shift(val: Valuation, delta: int) -> Valuation:
-    if val.is_exact:
-        return Valuation.exact(val.value + delta)
-    return Valuation.at_least(val.value + delta)
 
 
 def char_poly_valuations(datum: HypergeometricDatum, point: PointSpec,
@@ -435,12 +429,7 @@ def char_poly_valuations(datum: HypergeometricDatum, point: PointSpec,
         raise MalformedInput(f"precision must be >= 1, got {precision}")
 
     jmax = _trace_jmax(n, strategy)
-    traces = _power_traces(datum, point, jmax, precision)
-    b = _coeffs_from_traces(traces, p, precision, jmax)
-
-    alpha = unit_root_eval(datum, point)
-    if jmax >= 1 and (b[1].value + alpha) % p != 0:
-        raise AssertionError("b_1 disagrees with the mod-p degeneracy value")
+    b = _coefficients(datum, point, jmax, precision)
 
     vals: list[Valuation | None] = [None] * (n + 1)
     vals[0] = Valuation.exact(0)
@@ -460,19 +449,15 @@ def char_poly_valuations(datum: HypergeometricDatum, point: PointSpec,
             raise AssertionError("b_n censored above the determinant valuation")
 
     if strategy in ("selfdual", "dualpair"):
-        # partner coefficients come from the dual datum's own traces; a
-        # self-dual datum is its own dual, so they are trace-table hits
+        # the top half is the dual datum's bottom half, shifted by the
+        # reciprocal-root symmetry; a self-dual datum is its own dual, so
+        # its partner coefficients are b itself
         dual = dual_datum(datum)
-        pb = _coeffs_from_traces(_power_traces(dual, point, jmax, precision),
-                                 p, precision, jmax)
-        if (pb[1].value + unit_root_eval(dual, point)) % p != 0:
-            raise AssertionError("dual b_1 disagrees with its mod-p value")
-        partner_vals = [Valuation.exact(0)] + [pb[r].valuation()
-                                               for r in range(1, jmax + 1)]
-        h = (n + 1) // 2
-        for s_idx in range(h + 1, n):
+        pb = b if dual == datum else _coefficients(dual, point, jmax, precision)
+        for s_idx in range((n + 1) // 2 + 1, n):
+            v = pb[n - s_idx].valuation()
             delta = m * (n - 1) * (2 * s_idx - n) // 2
-            vals[s_idx] = _shift(partner_vals[n - s_idx], delta)
+            vals[s_idx] = Valuation(v.is_exact, v.value + delta)
 
     for r in range(2, n):
         v = vals[r]
@@ -520,12 +505,9 @@ def _assert_report_sane(report: SlopeReport):
                   report.dual_degenerate, report.fast_path)
 
 
-@functools.cache
 def _check_slopes(n: int, slopes: SlopeVector, degenerate: bool,
                   dual_degenerate: bool, fast_path: bool) -> None:
-    """The invariants every report must satisfy; cached, so a repeated
-    input (above all the generic vector of each rank) costs one lookup.
-    A failing input raises on every call, since exceptions are not cached."""
+    """The invariants every report must satisfy."""
     vals = tuple(slopes)
     if len(vals) != n:
         raise AssertionError("slope count != rank")
@@ -551,9 +533,14 @@ def _check_slopes(n: int, slopes: SlopeVector, degenerate: bool,
 
 @functools.cache
 def _generic_profile(n: int):
-    """(slopes, gaps, max gap, violates) of the generic vector (n-1, .., 0)."""
+    """The fast-path report's fields after the datum and the point: the
+    generic vector (n-1, .., 0), its gaps, max gap and violation flag, both
+    degeneracy flags false, no strategy or precision, fast_path true.  They
+    depend on n alone, so they are checked here, once per rank; a failing
+    check raises on every call, since exceptions are not cached."""
     sv = SlopeVector(tuple(Fraction(n - 1 - i) for i in range(n)))
-    return (sv, *gap_profile(sv))
+    _check_slopes(n, sv, False, False, True)
+    return (sv, *gap_profile(sv), False, False, None, None, True)
 
 
 def slopes_at_point(datum: HypergeometricDatum, point: PointSpec,
@@ -566,7 +553,9 @@ def slopes_at_point(datum: HypergeometricDatum, point: PointSpec,
     forced to (n-1, .., 1, 0) with no p-adic work.  An explicitly named
     strategy is validated and run even where the shortcut would apply, so a
     request like selfdual on a non-self-dual datum refuses instead of
-    answering by accident.
+    answering by accident.  Every report meets _check_slopes: a fast-path
+    report is the per-rank profile, checked when it is built, and any
+    other report is checked on every call.
 
     Precision: an explicit precision is tried once.  Without one, the
     coefficients are computed at start_precision and, each time the hull
@@ -589,10 +578,7 @@ def slopes_at_point(datum: HypergeometricDatum, point: PointSpec,
     dual_degenerate = unit_root_eval(dual_datum(datum), point) == 0
 
     if strategy == "auto" and n <= 3 and not degenerate and not dual_degenerate:
-        report = SlopeReport(datum, point, *_generic_profile(n),
-                             False, False, None, None, True)
-        _assert_report_sane(report)
-        return report
+        return SlopeReport(datum, point, *_generic_profile(n))
 
     m = point.field.m
     ceiling = precision

@@ -1,7 +1,8 @@
 """CLI exit codes, JSON error payloads, and format parity.
 
-Everything drives main(argv) in-process and reads capsys, except one check
-in a fresh interpreter that the CLI runs without numpy.
+Everything drives main(argv) in-process and reads capsys, except two checks
+in a fresh interpreter that the CLI runs without numpy and without any test
+dependency.
 Exit code contract: 0 success, 2 well-posed but refused (structured JSON on
 stdout), 64 malformed usage (message on stderr).
 """
@@ -20,6 +21,7 @@ import pytest
 
 import isoslope
 from isoslope.cli import main
+from isoslope.errors import MalformedInput
 from isoslope.hyper import HypergeometricDatum, auto_precision, start_precision
 
 _SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "output_record.schema.json"
@@ -189,6 +191,23 @@ def test_cli_does_not_load_numpy():
     assert proc.stdout.count("\n") == 5  # one record per degree-1 point
 
 
+def test_cli_runs_without_the_test_dependencies():
+    # the package promises the standard library only: a scan must run with
+    # every test dependency unimportable
+    code = ("import sys\n"
+            "for name in ('numpy', 'hypothesis', 'jsonschema'):\n"
+            "    sys.modules[name] = None\n"
+            "from isoslope.cli import main\n"
+            "rc = main(['scan', '--family', 'quintic', '--p-range', '11..11',\n"
+            "           '--m-max', '2'])\n"
+            "assert rc == 0, rc\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(isoslope.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["summary"]["points"] > 0
+
+
 def test_missing_required_argument(capsys):
     code, _, err = run(capsys, "slopes", "--p", "7")
     assert code == 64
@@ -296,6 +315,36 @@ def test_scan_out_in_a_missing_directory_is_a_usage_error(capsys, tmp_path):
     assert out == ""
     assert err.startswith(f"usage error: --out {out_path}:")
     assert list(tmp_path.iterdir()) == []
+
+
+def _no_point_may_be_computed(datum, point):
+    raise AssertionError("a point was computed")
+
+
+def test_scan_out_is_refused_before_any_point_is_computed(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("isoslope.scan.slopes_at_point", _no_point_may_be_computed)
+    out_path = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "scan", "--family", "triplegap",
+                         "--p-range", "5..43", "--out", str(out_path))
+    assert code == 64
+    assert out == "" and "Traceback" not in err
+    assert err == f"usage error: --out {out_path}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scan_that_fails_leaves_no_temp_file_beside_out(capsys, tmp_path, monkeypatch):
+    def refuse(datum, point):
+        raise MalformedInput("refused")
+
+    monkeypatch.setattr("isoslope.scan.slopes_at_point", refuse)
+    out_path = tmp_path / "report.json"
+    out_path.write_bytes(b"an earlier report\n")
+    code, out, err = run(capsys, "scan", "--family", "triplegap",
+                         "--p-range", "5", "--out", str(out_path))
+    assert code == 64
+    assert out == "" and err == "usage error: refused\n"
+    assert out_path.read_bytes() == b"an earlier report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_scan_out_that_cannot_be_replaced_is_a_usage_error(capsys, tmp_path, monkeypatch):

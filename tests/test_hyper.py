@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import re
 from array import array
 from fractions import Fraction
 
@@ -52,6 +53,7 @@ from isoslope.hyper import (
 )
 from isoslope import reference
 from isoslope.polygon import SlopeVector
+from isoslope.scan import FamilySpec, scan_family
 
 
 def F(*args):
@@ -593,9 +595,9 @@ def test_report_above_the_generic_polygon_is_refused():
 
 
 @pytest.mark.parametrize("flag", ["degenerate", "dual_degenerate"])
-def test_cached_sanity_check_still_refuses_a_wrong_flag(flag):
-    # the check is memoized on (n, slopes, flags, fast_path): a good generic
-    # report of rank 3 must not let the same slopes through with a bad flag
+def test_sanity_check_refuses_a_wrong_flag(flag):
+    # a good generic report of rank 3 must not let the same slopes through
+    # with a bad flag
     d = HypergeometricDatum(7, (1, 2, 5))
     good = [slopes_at_point(d, pt) for pt in closed_points(field_create(7, 1))]
     good = next(rep for rep in good if rep.fast_path)
@@ -605,6 +607,47 @@ def test_cached_sanity_check_still_refuses_a_wrong_flag(flag):
         with pytest.raises(AssertionError, match="contradicts"):
             _assert_report_sane(bad)
     _assert_report_sane(good)
+
+
+def test_sanity_check_runs_once_per_fast_path_rank_and_per_slow_report(monkeypatch):
+    calls = []
+    check = hyper._check_slopes
+    monkeypatch.setattr(hyper, "_check_slopes",
+                        lambda *args: calls.append(args) or check(*args))
+    hyper._generic_profile.cache_clear()
+    report = scan_family(FamilySpec("explicit", 7, 7, (2, 3), 3))
+    slow = sum(not rec["fast_path"] for rec in report.records)
+    assert 0 < slow < len(report.records)
+    assert len(calls) == 1 + slow  # rank 2 is the only fast-path rank
+
+
+def test_a_failing_fast_path_check_refuses_every_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("refused")
+
+    monkeypatch.setattr(hyper, "_check_slopes", refuse)
+    hyper._generic_profile.cache_clear()
+    d = HypergeometricDatum(7, (1, 2, 5))
+    pts = [pt for pt in closed_points(field_create(7, 1))
+           if unit_root_eval(d, pt) and unit_root_eval(dual_datum(d), pt)]
+    for pt in pts[:2]:
+        with pytest.raises(AssertionError, match="refused"):
+            slopes_at_point(d, pt)
+
+
+@pytest.mark.parametrize("c, strategy", [((1, 2, 5), "dualpair"), ((2, 4), "selfdual")])
+def test_b1_check_covers_the_dual_datum(monkeypatch, c, strategy):
+    # shift the degeneracy value of the dual datum only; a self-dual datum
+    # is its own dual, so its partner coefficients are refused with it
+    d = HypergeometricDatum(7, c)
+    dual = dual_datum(d)
+    pt = point_spec(field_create(7, 1), 3)
+    char_poly_valuations(d, pt, strategy)
+    value = hyper.unit_root_eval
+    monkeypatch.setattr(hyper, "unit_root_eval",
+                        lambda datum, point: value(datum, point) + (datum == dual))
+    with pytest.raises(AssertionError, match=re.escape(f"c = {dual.c}")):
+        char_poly_valuations(d, pt, strategy)
 
 
 def test_slopes_at_point_guards():
