@@ -78,6 +78,7 @@ from .polygon import (
 from .scan import (
     CounterexampleReport,
     FamilySpec,
+    ReportWriter,
     family_members,
     point_record,
     predicted_violation_points,

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import json
 import os
 import sys
@@ -44,7 +45,14 @@ from .hyper import (
     point_spec,
     slopes_at_point,
 )
-from .scan import FAMILY_KINDS, FamilySpec, point_record, rational_str, scan_family
+from .scan import (
+    FAMILY_KINDS,
+    FamilySpec,
+    ReportWriter,
+    point_record,
+    rational_str,
+    scan_family,
+)
 
 EX_OK = 0
 EX_MATH = 2
@@ -97,29 +105,49 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+class _RowWriter:
+    """csv or tsv rows of flat records written to a stream as they arrive:
+    a header from the first record's keys, then one row per record.  It has
+    the interface of scan.ReportWriter; rows carry no summary."""
+
+    def __init__(self, fmt: str, stream):
+        self.points = 0
+        self._rows = csv.writer(stream, delimiter="," if fmt == "csv" else "\t",
+                                lineterminator="\n")
+        self._header = None
+
+    def write(self, rec: dict):
+        if self._header is None:
+            self._header = list(rec)
+            self._rows.writerow(self._header)
+        self._rows.writerow([_csv_cell(rec.get(k)) for k in self._header])
+        self.points += 1
+
+    def close(self, datum_count: int, violations):
+        pass
+
+
 def emit_records(records: list[dict], fmt: str, stream) -> None:
-    if not records:
-        return
     if fmt == "json":
         for rec in records:
             stream.write(json.dumps(rec, sort_keys=True) + "\n")
         return
-    delim = "," if fmt == "csv" else "\t"
-    writer = csv.writer(stream, delimiter=delim, lineterminator="\n")
-    header = list(records[0].keys())
-    writer.writerow(header)
+    rows = _RowWriter(fmt, stream)
     for rec in records:
-        writer.writerow([_csv_cell(rec.get(k)) for k in header])
+        rows.write(rec)
 
 
 @contextlib.contextmanager
 def _replacing(path: str):
     """Yield a stream into a temp file beside path and move it over path on
-    a clean exit.  The temp file is made on entry, so an unusable path is a
-    usage error before any work is done; on any failure it is removed, so
-    an existing file at path is left as it was."""
+    a clean exit.  The temp file is made on entry, and a path naming a
+    directory is refused there, so an unusable path is a usage error before
+    any work is done; on any failure the temp file is removed, so an
+    existing file at path is left as it was."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         with open(tmp, "x", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
@@ -129,6 +157,19 @@ def _replacing(path: str):
         if isinstance(exc, OSError):
             raise MalformedInput(f"--out {path}: {exc.strerror or exc}") from None
         raise
+
+
+@contextlib.contextmanager
+def _stdout_when_complete():
+    """Yield a stream into an unnamed temp file and copy it to stdout on a
+    clean exit, so stdout gets the whole output or none of it."""
+    import shutil
+    import tempfile  # only here: importing it would add to every command's start-up
+
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as fh:
+        yield fh
+        fh.seek(0)
+        shutil.copyfileobj(fh, sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +220,20 @@ def cmd_scan(args) -> int:
     spec = FamilySpec(args.family, p_min, p_max, c, args.m_max)
     if args.workers < 1:
         raise MalformedInput(f"need workers >= 1, got {args.workers}")
-    with _replacing(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
+    with _replacing(args.out) if args.out else _stdout_when_complete() as out:
+        writer = ReportWriter(spec, out) if args.format == "json" else \
+            _RowWriter(args.format, out)
         try:
-            report = scan_family(spec, checkpoint=args.checkpoint)
+            report = scan_family(spec, checkpoint=args.checkpoint, writer=writer)
         except OSError as exc:
+            if args.checkpoint is None:
+                raise
             raise MalformedInput(
                 f"--checkpoint {args.checkpoint}: {exc.strerror or exc}") from None
-        if args.format == "json":
-            out.write(report.to_bytes().decode())
-        else:
-            emit_records(list(report.records), args.format, out)
 
     expected = sum(1 for v in report.violations if v["expected"])
     summary = (f"{spec.kind} p in [{p_min}, {p_max}]: {report.datum_count} datums, "
-               f"{len(report.records)} points, {len(report.violations)} gap "
+               f"{writer.points} points, {len(report.violations)} gap "
                f"violations ({expected} at predicted points), "
                f"{report.elapsed_s:.1f}s")
     print(summary, file=sys.stderr)

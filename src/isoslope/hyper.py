@@ -451,9 +451,11 @@ def char_poly_valuations(datum: HypergeometricDatum, point: PointSpec,
     if strategy in ("selfdual", "dualpair"):
         # the top half is the dual datum's bottom half, shifted by the
         # reciprocal-root symmetry; a self-dual datum is its own dual, so
-        # its partner coefficients are b itself
+        # its partner coefficients are b itself.  The loop reads the dual's
+        # b_1..b_(n//2 - 1); b_1 is computed at least, for its check
         dual = dual_datum(datum)
-        pb = b if dual == datum else _coefficients(dual, point, jmax, precision)
+        pb = b if dual == datum else \
+            _coefficients(dual, point, max(1, n // 2 - 1), precision)
         for s_idx in range((n + 1) // 2 + 1, n):
             v = pb[n - s_idx].valuation()
             delta = m * (n - 1) * (2 * s_idx - n) // 2

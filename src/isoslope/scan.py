@@ -18,6 +18,7 @@ reason.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import os
 import re
@@ -265,44 +266,107 @@ def _render_scalar_list(values: list) -> str:
     return "[\n        " + ",\n        ".join(map(_render_scalar, values)) + "\n      ]"
 
 
-def _render_records(records, lists: dict) -> str:
-    """A list of flat records (string keys; scalar or scalar-list values) as
-    the value of a top-level key: the text json.dumps(..., sort_keys=True,
-    indent=2) gives it there.  lists maps each scalar list already rendered
-    in the report, keyed on its element types as well as its values since
-    (True,) == (1,), to its text."""
-    if not records:
-        return "[]"
-    layouts: dict[tuple, list] = {}
-    out = []
-    for rec in records:
+def _render_header(value) -> str:
+    """A small top-level value of the report, as json.dumps renders it at
+    depth 1 of the document."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+
+
+def _family_payload(spec: FamilySpec) -> dict:
+    family = {"kind": spec.kind, "p_min": spec.p_min, "p_max": spec.p_max,
+              "m_max": spec.m_max}
+    if spec.c is not None:
+        family["c"] = list(spec.c)
+    return family
+
+
+# characters of rendered text a ReportWriter holds before it writes them out
+_CHUNK = 1 << 16
+
+
+class ReportWriter:
+    """The JSON report of one scan, written to a text stream as its records
+    arrive: the text of json.dumps(payload, sort_keys=True, indent=2) + "\n".
+    The sorted keys put "records" after "family" and before the summary and
+    the violations, so a record is rendered as soon as it is written and
+    only the point count is kept; close() writes the rest.  Text goes out in
+    chunks of about _CHUNK characters.
+
+    Records are flat (string keys; scalar or scalar-list values) and are
+    rendered directly, since json.dumps with indent set runs CPython's
+    pure-Python encoder: one layout of key heads per record shape, and the
+    text of each scalar list memoised on its element types as well as its
+    values, since (True,) == (1,)."""
+
+    def __init__(self, spec: FamilySpec, stream):
+        self.points = 0
+        self._stream = stream
+        self._parts: list[str] = []
+        self._size = 0
+        self._layouts: dict[tuple, list] = {}
+        self._lists: dict = {}
+        self._put(f'{{\n  "family": {_render_header(_family_payload(spec))},\n'
+                  f'  "records": ')
+
+    def _put(self, text: str):
+        self._parts.append(text)
+        self._size += len(text)
+        if self._size >= _CHUNK:
+            self._flush()
+
+    def _flush(self):
+        self._stream.write("".join(self._parts))
+        self._parts.clear()
+        self._size = 0
+
+    def _render(self, rec: dict) -> str:
         shape = tuple(rec)
-        layout = layouts.get(shape)
+        layout = self._layouts.get(shape)
         if layout is None:
-            layout = layouts[shape] = [(k, f"\n      {_encode_str(k)}: ")
-                                       for k in sorted(shape)]
+            layout = self._layouts[shape] = [(k, f"\n      {_encode_str(k)}: ")
+                                             for k in sorted(shape)]
         fields = []
         for key, head in layout:
             v = rec[key]
             if type(v) is list:
                 memo = (tuple(v), tuple(map(type, v)))
-                text = lists.get(memo)
+                text = self._lists.get(memo)
                 if text is None:
-                    text = lists[memo] = _render_scalar_list(v)
+                    text = self._lists[memo] = _render_scalar_list(v)
             else:
                 text = _render_scalar(v)
             fields.append(head + text)
-        out.append("{" + ",".join(fields) + "\n    }" if fields else "{}")
-    return "[\n    " + ",\n    ".join(out) + "\n  ]"
+        return "{" + ",".join(fields) + "\n    }" if fields else "{}"
+
+    def _put_item(self, rec: dict, index: int):
+        self._put((",\n    " if index else "[\n    ") + self._render(rec))
+
+    def write(self, rec: dict):
+        self._put_item(rec, self.points)
+        self.points += 1
+
+    def close(self, datum_count: int, violations):
+        """End the records and write the schema version, the summary and
+        the violations."""
+        summary = {"datums": datum_count, "points": self.points,
+                   "violations": len(violations)}
+        self._put(("\n  ]" if self.points else "[]") +
+                  f',\n  "schema_version": {_encode_str(SCHEMA_VERSION)}'
+                  f',\n  "summary": {_render_header(summary)}'
+                  ',\n  "violations": ')
+        for i, rec in enumerate(violations):
+            self._put_item(rec, i)
+        self._put(("\n  ]" if violations else "[]") + "\n}\n")
+        self._flush()
 
 
 @dataclass(frozen=True)
 class CounterexampleReport:
-    """Aggregated scan outcome: every point record, the gap violations with
-    their expected/discovery flag, and counts.  elapsed_s and
-    triple_gap_failures, the (p, c3) of every triple-gap datum whose
-    records fail triple_gap_unique, are run metadata and excluded from the
-    serialized payload."""
+    """Aggregated scan outcome: the point records (none when the scan wrote
+    them to a writer), the gap violations with their expected/discovery
+    flag, and counts.  elapsed_s and triple_gap_failures, the (p, c3) of
+    every triple-gap datum whose records fail triple_gap_unique, are run
+    metadata and excluded from the serialized payload."""
 
     spec: FamilySpec
     records: tuple[dict, ...]
@@ -312,17 +376,9 @@ class CounterexampleReport:
     triple_gap_failures: tuple[tuple[int, int], ...]
 
     def payload(self) -> dict:
-        family = {
-            "kind": self.spec.kind,
-            "p_min": self.spec.p_min,
-            "p_max": self.spec.p_max,
-            "m_max": self.spec.m_max,
-        }
-        if self.spec.c is not None:
-            family["c"] = list(self.spec.c)
         return {
             "schema_version": SCHEMA_VERSION,
-            "family": family,
+            "family": _family_payload(self.spec),
             "summary": {
                 "datums": self.datum_count,
                 "points": len(self.records),
@@ -333,21 +389,14 @@ class CounterexampleReport:
         }
 
     def to_bytes(self) -> bytes:
-        """The payload as canonical JSON: the bytes of json.dumps(payload,
-        sort_keys=True, indent=2) + "\n".  That encoder runs in pure Python
-        once indent is set, so only the small header goes through it; the
-        flat records and violations are rendered directly."""
-        payload = self.payload()
-        lists: dict = {}
-        parts = []
-        for key in sorted(payload):
-            value = payload[key]
-            if key in ("records", "violations"):
-                text = _render_records(value, lists)
-            else:
-                text = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
-            parts.append(f"  {_encode_str(key)}: {text}")
-        return ("{\n" + ",\n".join(parts) + "\n}\n").encode()
+        """The payload as canonical JSON, rendered by ReportWriter: the
+        bytes of json.dumps(payload, sort_keys=True, indent=2) + "\n"."""
+        buf = io.StringIO()
+        writer = ReportWriter(self.spec, buf)
+        for rec in self.records:
+            writer.write(rec)
+        writer.close(self.datum_count, self.violations)
+        return buf.getvalue().encode()
 
 
 class _Checkpoint:
@@ -396,37 +445,49 @@ class _Checkpoint:
             self._fh = None
 
 
-def scan_family(spec: FamilySpec, checkpoint: str | None = None) -> CounterexampleReport:
+def scan_family(spec: FamilySpec, checkpoint: str | None = None,
+                writer=None) -> CounterexampleReport:
     """Run the family sweep point by point, with the automatic strategy, and
     aggregate a deterministic report from the points of the spec alone.
     Points whose records are already in the checkpoint are not recomputed;
     every new record is appended to it as soon as it exists.  Datums come
     in (p, c) order and points in (degree, dlog) order, so the records are
     in _record_key order as they are made.
+
+    With a writer (a ReportWriter, or anything with its write(rec) and
+    close(datum_count, violations)), each record is handed to it as soon as
+    it exists and the returned report holds no records, so the scan keeps
+    only the violations and one triple-gap datum's degree-1 records.
+    Without one the records are kept in the report.
     """
     t0 = time.monotonic()
     datums = family_members(spec)
     records: list[dict] = []
+    write = records.append if writer is None else writer.write
     violations: list[dict] = []
     failures: list[tuple[int, int]] = []
     store = _Checkpoint(checkpoint)
     try:
         for datum in datums:
             expected = predicted_violation_points(datum)
-            first = len(records)
+            c3 = _triple_gap_c3(datum)
+            linear: list[dict] = []  # the degree-1 records triple_gap_unique reads
             for degree in range(1, spec.m_max + 1):
                 for pt in closed_points(field_create(datum.p, degree)):
                     rec = store.records.get((datum.p, datum.c, degree, pt.dlog))
                     if rec is None:
                         rec = point_record(slopes_at_point(datum, pt))
                         store.add(rec)
-                    records.append(rec)
+                    write(rec)
                     if rec["violates"]:
                         violations.append(
                             {**rec, "expected": degree == 1 and rec["x"] in expected})
-            c3 = _triple_gap_c3(datum)
-            if c3 is not None and not triple_gap_unique(datum.p, c3, records[first:]):
+                    if degree == 1 and c3 is not None:
+                        linear.append(rec)
+            if c3 is not None and not triple_gap_unique(datum.p, c3, linear):
                 failures.append((datum.p, c3))
+        if writer is not None:
+            writer.close(len(datums), violations)
     finally:
         store.close()
     return CounterexampleReport(spec, tuple(records), tuple(violations), len(datums),

@@ -9,10 +9,13 @@ stdout), 64 malformed usage (message on stderr).
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -294,11 +297,11 @@ def test_scan_out_is_replaced_only_when_complete(capsys, tmp_path, monkeypatch):
     out_path = tmp_path / "records.csv"
     out_path.write_bytes(b"an earlier report\n")
 
-    def failing_emit(records, fmt, stream):
-        stream.write("schema_version,")
+    def failing_write(self, rec):
+        self._rows.writerow(["schema_version"])
         raise RuntimeError("writer failed")
 
-    monkeypatch.setattr("isoslope.cli.emit_records", failing_emit)
+    monkeypatch.setattr("isoslope.cli._RowWriter.write", failing_write)
     with pytest.raises(RuntimeError, match="writer failed"):
         main(["scan", "--family", "triplegap", "--p-range", "5", "--format",
               "csv", "--out", str(out_path)])
@@ -332,6 +335,19 @@ def test_scan_out_is_refused_before_any_point_is_computed(capsys, tmp_path, monk
     assert list(tmp_path.iterdir()) == []
 
 
+def test_scan_out_naming_a_directory_is_refused_before_any_point_is_computed(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("isoslope.scan.slopes_at_point", _no_point_may_be_computed)
+    out_path = tmp_path / "reports"
+    out_path.mkdir()
+    code, out, err = run(capsys, "scan", "--family", "triplegap",
+                         "--p-range", "5..43", "--out", str(out_path))
+    assert code == 64
+    assert out == "" and err == f"usage error: --out {out_path}: Is a directory\n"
+    assert list(tmp_path.iterdir()) == [out_path]
+    assert list(out_path.iterdir()) == []
+
+
 def test_scan_that_fails_leaves_no_temp_file_beside_out(capsys, tmp_path, monkeypatch):
     def refuse(datum, point):
         raise MalformedInput("refused")
@@ -361,6 +377,37 @@ def test_scan_out_that_cannot_be_replaced_is_a_usage_error(capsys, tmp_path, mon
     assert err.startswith(f"usage error: --out {out_path}: Permission denied")
     assert out_path.read_bytes() == b"an earlier report\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+class _NullStream(io.TextIOBase):
+    """A text stream that counts what it is given and keeps none of it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+def test_scan_memory_does_not_grow_with_the_report():
+    # the first run builds the fields and tables every later scan reuses;
+    # the second, traced, holds at most a chunk of the report at a time
+    argv = ["scan", "--family", "explicit", "--c", "2,3", "--p-range", "7..7",
+            "--m-max", "5"]
+    report = _NullStream()
+    with contextlib.redirect_stdout(report), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_NullStream()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.chars > 1_500_000
+    assert peak < report.chars // 2
 
 
 def test_scan_checkpoint_in_a_missing_directory_is_a_usage_error(capsys, tmp_path):

@@ -2,13 +2,16 @@
 
 The report-bytes tests pin the determinism contract: same family in, same
 bytes out, whether computed fresh or resumed from a checkpoint, including
-one with torn trailing lines left by an interrupted run.
+one with torn trailing lines left by an interrupted run.  The CLI streams
+the report point by point; its output is held to the same oracle.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import re
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoslope.arith import field_create
+from isoslope.cli import emit_records, main
 from isoslope.errors import InvalidC3, MalformedInput, NotPrime, PrimeTooSmall
 from isoslope.hyper import HypergeometricDatum, closed_points, point_spec, slopes_at_point
 from isoslope.scan import (
@@ -461,3 +465,81 @@ def test_real_reports_equal_json_dumps(spec):
     report = scan_family(spec)
     assert report.records and bool(report.violations) == (spec.kind != "explicit")
     assert report.to_bytes() == _oracle_bytes(report)
+
+
+# -- the streamed report -------------------------------------------------------
+
+def _cli_stdout(capsys, *argv) -> str:
+    assert main(["scan", *argv]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec, argv", [
+    (FamilySpec("triplegap", 5, 13), ["--family", "triplegap", "--p-range", "5..13"]),
+    (FamilySpec("explicit", 7, 7, c=(2, 3), m_max=3),
+     ["--family", "explicit", "--c", "2,3", "--p-range", "7..7", "--m-max", "3"]),
+    (FamilySpec("quintic", 12, 30), ["--family", "quintic", "--p-range", "12..30"]),
+], ids=["triplegap", "no-violations", "empty-family"])
+def test_streamed_report_equals_json_dumps(capsys, tmp_path, monkeypatch, spec, argv):
+    # a small chunk size makes the writer flush after every record
+    monkeypatch.setattr("isoslope.scan._CHUNK", 100)
+    want = _oracle_bytes(scan_family(spec)).decode()
+    ckpt = str(tmp_path / "scan.ndjson")
+    fresh = _cli_stdout(capsys, *argv, "--checkpoint", ckpt)
+    resumed = _cli_stdout(capsys, *argv, "--checkpoint", ckpt)
+    assert fresh == want and resumed == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "tsv"])
+def test_streamed_rows_equal_emit_records(capsys, fmt):
+    want = io.StringIO()
+    emit_records(list(scan_family(FamilySpec("triplegap", 5, 7)).records), fmt, want)
+    got = _cli_stdout(capsys, "--family", "triplegap", "--p-range", "5..7",
+                      "--format", fmt)
+    assert got == want.getvalue()
+
+
+@pytest.mark.parametrize("target", ["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "tsv"])
+def test_scan_failing_after_some_points_writes_nothing(capsys, tmp_path, monkeypatch,
+                                                       fmt, target):
+    monkeypatch.setattr("isoslope.scan._CHUNK", 1)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    computed = []
+
+    def fail_after_three(datum, point):
+        if len(computed) == 3:
+            raise MalformedInput("refused after 3 points")
+        computed.append(point)
+        return slopes_at_point(datum, point)
+
+    monkeypatch.setattr("isoslope.scan.slopes_at_point", fail_after_three)
+    argv = ["scan", "--family", "triplegap", "--p-range", "5..7", "--format", fmt]
+    if target == "out":
+        argv += ["--out", str(tmp_path / "report")]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 64 and len(computed) == 3
+    assert out == "" and err == "usage error: refused after 3 points\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scan_refused_after_its_degree_one_points_prints_only_the_error(capsys,
+                                                                         monkeypatch):
+    # GF(7^2) has 49 elements: the degree-1 points are written, then the
+    # degree-2 field is refused
+    monkeypatch.setenv("ISOSLOPE_TABLE_LIMIT", "48")
+    monkeypatch.setattr("isoslope.scan._CHUNK", 1)
+    computed = []
+
+    def counting(datum, point):
+        computed.append(point)
+        return slopes_at_point(datum, point)
+
+    monkeypatch.setattr("isoslope.scan.slopes_at_point", counting)
+    code = main(["scan", "--family", "explicit", "--c", "2,3", "--p-range", "7..7",
+                 "--m-max", "2"])
+    out = capsys.readouterr().out
+    assert code == 2 and len(computed) == 5
+    (line,) = out.splitlines(keepends=True)
+    assert json.loads(line)["error"]["type"] == "DegreeTooLarge"
