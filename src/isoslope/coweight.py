@@ -118,15 +118,21 @@ def _as_vector(datum: RootDatum, v: Sequence) -> tuple[Fraction, ...]:
     return vec
 
 
+def _pairings(datum: RootDatum, v: Sequence) -> tuple[Fraction, ...]:
+    """Pairings with every simple root in order, validating v once."""
+    vec = _as_vector(datum, v)
+    if datum.kind in ("gl", "sl"):
+        return tuple(a - b for a, b in zip(vec, vec[1:]))
+    # vec holds coroot coordinates; <alpha_i, sum_j v_j coroot_j> = sum_j A_ji v_j
+    r = datum.rank
+    return tuple(sum(datum.cartan[j][i] * vec[j] for j in range(r)) for i in range(r))
+
+
 def pairing(datum: RootDatum, v: Sequence, i: int) -> Fraction:
     """Pairing of the (co)weight vector with simple root i (1-based)."""
     if not 1 <= i <= datum.rank:
         raise MalformedInput(f"simple root index {i} outside 1..{datum.rank}")
-    vec = _as_vector(datum, v)
-    if datum.kind in ("gl", "sl"):
-        return vec[i - 1] - vec[i]
-    # vec holds coroot coordinates; <alpha_i, sum_j v_j coroot_j> = sum_j A_ji v_j
-    return sum(datum.cartan[j][i - 1] * vec[j] for j in range(datum.rank))
+    return _pairings(datum, v)[i - 1]
 
 
 def _coroot_coordinates(datum: RootDatum,
@@ -162,7 +168,7 @@ def dominance_leq(datum: RootDatum, v, w) -> bool:
 
 
 def is_dominant(datum: RootDatum, v) -> bool:
-    return all(pairing(datum, v, i) >= 0 for i in range(1, datum.rank + 1))
+    return all(g >= 0 for g in _pairings(datum, v))
 
 
 @dataclass(frozen=True)
@@ -182,9 +188,9 @@ class SmallGapsReport:
 
 def small_gaps(datum: RootDatum, v) -> SmallGapsReport:
     """Check <v, alpha_i> <= 1 for every simple root; v must be dominant."""
-    if not is_dominant(datum, v):
+    gaps = _pairings(datum, v)
+    if any(g < 0 for g in gaps):
         raise NotDominant(f"{tuple(v)} is not dominant")
-    gaps = tuple(pairing(datum, v, i) for i in range(1, datum.rank + 1))
     big = tuple(i for i, g in enumerate(gaps, start=1) if g > 1)
     small = tuple(i for i, g in enumerate(gaps, start=1) if g <= 1)
     return SmallGapsReport(not big, gaps, big, small)

@@ -87,36 +87,37 @@ def inverse_table(field: ExtField) -> tuple[int, ...]:
     return tuple(int(b) for b in out)
 
 
+@functools.cache
 def trace_sums_all_points(c: tuple[int, ...], field: ExtField, precision: int) -> np.ndarray:
     """Raw tuple sums for every target at once, element-indexed.
 
     out[y] = sum over (x_1..x_n) in units^n with prod x_i = y of
-    prod tau(norm(1 - x_i))^{c_i}, mod p^precision.  Folds one factor at a
-    time; multiplication by a fixed unit permutes the units, so each scatter
-    is a plain permuted assignment.
+    prod tau(norm(1 - x_i))^{c_i}, mod p^precision.  Cached and read-only:
+    c's table is one fold of its last factor onto the cached table of
+    c[:-1].  Multiplication by a fixed unit permutes the units, so each
+    scatter of the fold is a plain permuted assignment.
     """
     modulus = field.p ** precision
     if modulus > MAX_VECTOR_MODULUS:
         raise MalformedInput(f"modulus {modulus} too large for the int64 engine")
-    q = field.q
-    table = element_product_table(field)
-    acc = np.array(char_values_by_element(field, c[0], precision), dtype=np.int64)
-    tmp = np.zeros(q, dtype=np.int64)
-    for ci in c[1:]:
-        f = np.array(char_values_by_element(field, ci, precision), dtype=np.int64)
-        f_units = f[1:]
-        nxt = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
+    out = np.array(char_values_by_element(field, c[-1], precision), dtype=np.int64)
+    if len(c) > 1:
+        acc = trace_sums_all_points(c[:-1], field, precision)
+        table = element_product_table(field)
+        f_units = out[1:]
+        tmp = np.zeros(field.q, dtype=np.int64)
+        nxt = np.zeros(field.q, dtype=np.int64)
+        for a in range(1, field.q):
             s = int(acc[a])
             if s == 0:
                 continue
-            row = table[a, 1:]
-            tmp[row] = (s * f_units) % modulus
+            tmp[table[a, 1:]] = (s * f_units) % modulus
             nxt += tmp
         # each of the <= q-1 addends is < modulus <= 3e9 and q <= 2^13,
         # so the accumulator stays far below 2^63
-        acc = nxt % modulus
-    return acc
+        out = nxt % modulus
+    out.flags.writeable = False  # shared by every caller of the cache
+    return out
 
 
 def trace_sum_at(c: tuple[int, ...], field: ExtField, x: int, precision: int,

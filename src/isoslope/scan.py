@@ -131,7 +131,7 @@ def predicted_violation_points(datum: HypergeometricDatum) -> frozenset[int]:
 
 def verify_triple_gap_uniqueness(p: int, c3: int) -> bool:
     """Scan c = (1, p-2, c3) over the degree-1 points and apply
-    triple_gap_unique to its records."""
+    triple_gap_unique to its violations."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if p < 5:
@@ -145,9 +145,10 @@ def verify_triple_gap_uniqueness(p: int, c3: int) -> bool:
 
 
 def triple_gap_unique(p: int, c3: int, records) -> bool:
-    """The triple-gap uniqueness predicate on the point records of
-    c = (1, p-2, c3): among the degree-1 points exactly one has top gap
-    a_1 - a_2 > 1, it sits at -(2 c3)^(-1) mod p, and a_1 = 2 there."""
+    """The triple-gap uniqueness predicate on point records of
+    c = (1, p-2, c3) that hold at least its violating degree-1 points:
+    among the degree-1 points exactly one has top gap a_1 - a_2 > 1, it
+    sits at -(2 c3)^(-1) mod p, and a_1 = 2 there."""
     hits = [r for r in records
             if r["degree"] == 1 and r["gaps"] and Fraction(r["gaps"][0]) > 1]
     want = -pow(2 * c3, p - 2, p) % p
@@ -280,17 +281,13 @@ def _family_payload(spec: FamilySpec) -> dict:
     return family
 
 
-# characters of rendered text a ReportWriter holds before it writes them out
-_CHUNK = 1 << 16
-
-
 class ReportWriter:
     """The JSON report of one scan, written to a text stream as its records
     arrive: the text of json.dumps(payload, sort_keys=True, indent=2) + "\n".
     The sorted keys put "records" after "family" and before the summary and
-    the violations, so a record is rendered as soon as it is written and
-    only the point count is kept; close() writes the rest.  Text goes out in
-    chunks of about _CHUNK characters.
+    the violations, so a record is rendered and written as soon as it
+    arrives and only the point count is kept; close() writes the rest.  The
+    writer holds no text of its own: buffering is the stream's.
 
     Records are flat (string keys; scalar or scalar-list values) and are
     rendered directly, since json.dumps with indent set runs CPython's
@@ -300,24 +297,11 @@ class ReportWriter:
 
     def __init__(self, spec: FamilySpec, stream):
         self.points = 0
-        self._stream = stream
-        self._parts: list[str] = []
-        self._size = 0
+        self._put = stream.write
         self._layouts: dict[tuple, list] = {}
         self._lists: dict = {}
         self._put(f'{{\n  "family": {_render_header(_family_payload(spec))},\n'
                   f'  "records": ')
-
-    def _put(self, text: str):
-        self._parts.append(text)
-        self._size += len(text)
-        if self._size >= _CHUNK:
-            self._flush()
-
-    def _flush(self):
-        self._stream.write("".join(self._parts))
-        self._parts.clear()
-        self._size = 0
 
     def _render(self, rec: dict) -> str:
         shape = tuple(rec)
@@ -357,25 +341,28 @@ class ReportWriter:
         for i, rec in enumerate(violations):
             self._put_item(rec, i)
         self._put(("\n  ]" if violations else "[]") + "\n}\n")
-        self._flush()
 
 
 @dataclass(frozen=True)
 class CounterexampleReport:
-    """Aggregated scan outcome: the point records (none when the scan wrote
+    """Aggregated scan outcome: the point records (None when the scan wrote
     them to a writer), the gap violations with their expected/discovery
     flag, and counts.  elapsed_s and triple_gap_failures, the (p, c3) of
-    every triple-gap datum whose records fail triple_gap_unique, are run
-    metadata and excluded from the serialized payload."""
+    every triple-gap datum whose degree-1 violations fail
+    triple_gap_unique, are run metadata and excluded from the serialized
+    payload.  A report whose records went to a writer refuses to render."""
 
     spec: FamilySpec
-    records: tuple[dict, ...]
+    records: tuple[dict, ...] | None
     violations: tuple[dict, ...]
     datum_count: int
     elapsed_s: float
     triple_gap_failures: tuple[tuple[int, int], ...]
 
     def payload(self) -> dict:
+        if self.records is None:
+            raise ValueError("the scan wrote its records to its writer, "
+                             "which holds the report")
         return {
             "schema_version": SCHEMA_VERSION,
             "family": _family_payload(self.spec),
@@ -391,9 +378,10 @@ class CounterexampleReport:
     def to_bytes(self) -> bytes:
         """The payload as canonical JSON, rendered by ReportWriter: the
         bytes of json.dumps(payload, sort_keys=True, indent=2) + "\n"."""
+        payload = self.payload()  # refuses a report whose records are gone
         buf = io.StringIO()
         writer = ReportWriter(self.spec, buf)
-        for rec in self.records:
+        for rec in payload["records"]:
             writer.write(rec)
         writer.close(self.datum_count, self.violations)
         return buf.getvalue().encode()
@@ -456,9 +444,10 @@ def scan_family(spec: FamilySpec, checkpoint: str | None = None,
 
     With a writer (a ReportWriter, or anything with its write(rec) and
     close(datum_count, violations)), each record is handed to it as soon as
-    it exists and the returned report holds no records, so the scan keeps
-    only the violations and one triple-gap datum's degree-1 records.
-    Without one the records are kept in the report.
+    it exists, the scan keeps only the violations, and the returned report's
+    records are None.  Without one the records are kept in the report.  A
+    triple-gap datum's verdict reads only its degree-1 violations, since a
+    top gap above 1 makes a record violate.
     """
     t0 = time.monotonic()
     datums = family_members(spec)
@@ -471,7 +460,7 @@ def scan_family(spec: FamilySpec, checkpoint: str | None = None,
         for datum in datums:
             expected = predicted_violation_points(datum)
             c3 = _triple_gap_c3(datum)
-            linear: list[dict] = []  # the degree-1 records triple_gap_unique reads
+            first = len(violations)
             for degree in range(1, spec.m_max + 1):
                 for pt in closed_points(field_create(datum.p, degree)):
                     rec = store.records.get((datum.p, datum.c, degree, pt.dlog))
@@ -482,13 +471,13 @@ def scan_family(spec: FamilySpec, checkpoint: str | None = None,
                     if rec["violates"]:
                         violations.append(
                             {**rec, "expected": degree == 1 and rec["x"] in expected})
-                    if degree == 1 and c3 is not None:
-                        linear.append(rec)
-            if c3 is not None and not triple_gap_unique(datum.p, c3, linear):
-                failures.append((datum.p, c3))
+                if degree == 1 and c3 is not None and \
+                        not triple_gap_unique(datum.p, c3, violations[first:]):
+                    failures.append((datum.p, c3))
         if writer is not None:
             writer.close(len(datums), violations)
     finally:
         store.close()
-    return CounterexampleReport(spec, tuple(records), tuple(violations), len(datums),
+    return CounterexampleReport(spec, tuple(records) if writer is None else None,
+                                tuple(violations), len(datums),
                                 time.monotonic() - t0, tuple(failures))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isoslope import coweight
 from isoslope.coweight import (
     NewtonFunction,
     RootDatum,
@@ -266,3 +267,19 @@ def test_cohomology_slope_interval():
         cohomology_slope_interval(1, 0, 1, 1)
     with pytest.raises(MalformedInput):
         cohomology_slope_interval(0, 0, 5, 2)
+
+
+def test_small_gaps_validates_the_vector_once(monkeypatch):
+    calls = []
+    real = coweight._as_vector
+
+    def counting(datum, v):
+        calls.append(v)
+        return real(datum, v)
+
+    monkeypatch.setattr(coweight, "_as_vector", counting)
+    sl = RootDatum.sl(40)
+    rep = small_gaps(sl, weyl_vector(sl))
+    assert rep.satisfied and len(rep.gaps) == 39
+    assert len(calls) == 1
+    assert is_dominant(sl, weyl_vector(sl)) and len(calls) == 2

@@ -33,11 +33,13 @@ from isoslope.scan import (
     _record_key,
     CounterexampleReport,
     FamilySpec,
+    ReportWriter,
     family_members,
     point_record,
     predicted_violation_points,
     rational_str,
     scan_family,
+    triple_gap_unique,
     verify_triple_gap_uniqueness,
 )
 
@@ -481,8 +483,6 @@ def _cli_stdout(capsys, *argv) -> str:
     (FamilySpec("quintic", 12, 30), ["--family", "quintic", "--p-range", "12..30"]),
 ], ids=["triplegap", "no-violations", "empty-family"])
 def test_streamed_report_equals_json_dumps(capsys, tmp_path, monkeypatch, spec, argv):
-    # a small chunk size makes the writer flush after every record
-    monkeypatch.setattr("isoslope.scan._CHUNK", 100)
     want = _oracle_bytes(scan_family(spec)).decode()
     ckpt = str(tmp_path / "scan.ndjson")
     fresh = _cli_stdout(capsys, *argv, "--checkpoint", ckpt)
@@ -503,7 +503,6 @@ def test_streamed_rows_equal_emit_records(capsys, fmt):
 @pytest.mark.parametrize("fmt", ["json", "csv", "tsv"])
 def test_scan_failing_after_some_points_writes_nothing(capsys, tmp_path, monkeypatch,
                                                        fmt, target):
-    monkeypatch.setattr("isoslope.scan._CHUNK", 1)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     computed = []
 
@@ -529,7 +528,6 @@ def test_scan_refused_after_its_degree_one_points_prints_only_the_error(capsys,
     # GF(7^2) has 49 elements: the degree-1 points are written, then the
     # degree-2 field is refused
     monkeypatch.setenv("ISOSLOPE_TABLE_LIMIT", "48")
-    monkeypatch.setattr("isoslope.scan._CHUNK", 1)
     computed = []
 
     def counting(datum, point):
@@ -543,3 +541,46 @@ def test_scan_refused_after_its_degree_one_points_prints_only_the_error(capsys,
     assert code == 2 and len(computed) == 5
     (line,) = out.splitlines(keepends=True)
     assert json.loads(line)["error"]["type"] == "DegreeTooLarge"
+
+
+def test_writer_puts_each_record_on_its_stream_at_once():
+    spec = FamilySpec("triplegap", 5, 7)
+    buf = io.StringIO()
+    writer = ReportWriter(spec, buf)
+    assert buf.getvalue().endswith('"records": ')
+    for i, rec in enumerate(scan_family(spec).records):
+        before = len(buf.getvalue())
+        writer.write(rec)
+        text = buf.getvalue()[before:]
+        assert text[0] == ("," if i else "[") and json.loads(text[1:]) == rec
+
+
+def test_a_streamed_scans_report_refuses_to_render():
+    spec = FamilySpec("triplegap", 5, 7)
+    kept = scan_family(spec)
+    buf = io.StringIO()
+    streamed = scan_family(spec, writer=ReportWriter(spec, buf))
+    assert streamed.records is None and streamed.violations == kept.violations
+    assert buf.getvalue().encode() == kept.to_bytes()
+    for render in (streamed.payload, streamed.to_bytes):
+        with pytest.raises(ValueError, match="records to its writer"):
+            render()
+
+
+def test_triple_gap_verdict_reads_only_the_datums_degree_one_violations(monkeypatch):
+    calls = []
+
+    def spy(p, c3, records):
+        calls.append((p, c3, list(records)))
+        return triple_gap_unique(p, c3, records)
+
+    monkeypatch.setattr("isoslope.scan.triple_gap_unique", spy)
+    spec = FamilySpec("triplegap", 5, 7, m_max=2)
+    report = scan_family(spec)
+    assert not report.triple_gap_failures
+    assert [(p, sorted((1, p - 2, c3))) for p, c3, _ in calls] == \
+        [(d.p, list(d.c)) for d in family_members(spec)]
+    for p, c3, got in calls:
+        want = [v for v in report.violations if v["degree"] == 1 and v["p"] == p
+                and v["c"] == sorted((1, p - 2, c3))]
+        assert got == want and len(want) == 2
