@@ -1,11 +1,14 @@
 """Newton coweights and the small-gaps condition for split reductive groups.
 
-A Newton point is modelled by its pairing values against the simple roots;
-concretely for GL_n / SL_n it is the weakly decreasing slope vector itself.
-The small-gaps condition asks that every pairing with a simple root is at
-most 1, equivalently that the Weyl coweight (half the sum of the positive
-coroots) still dominates after subtracting the point.  The payoff downstream
-is a narrowed interval for cohomological slopes.
+A Newton point is modelled by its pairing values against the simple roots.
+For GL_n / SL_n it is the weakly decreasing slope vector itself: the pairing
+with the i-th simple root is the slope difference v_i - v_{i+1}, and
+dominance compares partial sums, so type A needs no Cartan matrix.  Other
+types are given by a Cartan matrix over the simple coroots.  The small-gaps
+condition asks that every pairing with a simple root is at most 1,
+equivalently that the Weyl coweight (half the sum of the positive coroots)
+still dominates after subtracting the point.  The payoff downstream is a
+narrowed interval for cohomological slopes.
 
 Also here: the translation between Hecke eigenvalue valuations and Newton
 functions, and the explicit rank-3 region test.  Vectors are exact ints or
@@ -39,12 +42,14 @@ def _frac(v) -> Fraction:
 
 @dataclass(frozen=True)
 class RootDatum:
-    """A based root datum presented through its Cartan matrix.
+    """A based root datum: type A by its slope vectors, others by a Cartan
+    matrix.
 
     kind is "gl", "sl", or "cartan".  For gl/sl with parameter n the ambient
-    vectors are length-n slope tuples (sl additionally requires sum zero);
-    for a raw Cartan matrix, vectors are coordinates over the simple coroots
-    directly.
+    vectors are length-n slope tuples (sl additionally requires sum zero),
+    the simple roots are read off consecutive slope differences, and cartan
+    is empty.  For a raw Cartan matrix, vectors are coordinates over the
+    simple coroots directly.  Vectors have length n for every kind.
     """
 
     kind: str
@@ -55,13 +60,13 @@ class RootDatum:
     def gl(n: int) -> "RootDatum":
         if n < 1:
             raise MalformedInput(f"need n >= 1, got {n}")
-        return RootDatum("gl", n, _type_a_cartan(n - 1))
+        return RootDatum("gl", n, ())
 
     @staticmethod
     def sl(n: int) -> "RootDatum":
         if n < 2:
             raise MalformedInput(f"need n >= 2, got {n}")
-        return RootDatum("sl", n, _type_a_cartan(n - 1))
+        return RootDatum("sl", n, ())
 
     @staticmethod
     def from_cartan(rows: Sequence[Sequence[int]]) -> "RootDatum":
@@ -90,29 +95,11 @@ class RootDatum:
         """Number of simple roots."""
         return self.n - 1 if self.kind in ("gl", "sl") else self.n
 
-    def vector_length(self) -> int:
-        return self.n
-
-
-def _type_a_cartan(rank: int) -> tuple[tuple[int, ...], ...]:
-    rows = []
-    for i in range(rank):
-        row = [0] * rank
-        row[i] = 2
-        if i > 0:
-            row[i - 1] = -1
-        if i + 1 < rank:
-            row[i + 1] = -1
-        rows.append(tuple(row))
-    return tuple(rows)
-
 
 def _as_vector(datum: RootDatum, v: Sequence) -> tuple[Fraction, ...]:
     vec = tuple(_frac(x) for x in v)
-    if len(vec) != datum.vector_length():
-        raise MalformedInput(
-            f"expected a length-{datum.vector_length()} vector, got {len(vec)}"
-        )
+    if len(vec) != datum.n:
+        raise MalformedInput(f"expected a length-{datum.n} vector, got {len(vec)}")
     if datum.kind == "sl" and sum(vec) != 0:
         raise MalformedInput("sl vectors must sum to zero")
     return vec
@@ -135,8 +122,7 @@ def pairing(datum: RootDatum, v: Sequence, i: int) -> Fraction:
     return _pairings(datum, v)[i - 1]
 
 
-def _coroot_coordinates(datum: RootDatum,
-                        diff: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+def _coroot_coordinates(diff: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     """Expand a slope-vector difference over the simple coroots e_i - e_{i+1}.
 
     Possible exactly when the coordinate sum vanishes; the coefficients are
@@ -163,7 +149,7 @@ def dominance_leq(datum: RootDatum, v, w) -> bool:
     b = _as_vector(datum, w)
     diff = tuple(y - x for x, y in zip(a, b))
     if datum.kind in ("gl", "sl"):
-        return all(c >= 0 for c in _coroot_coordinates(datum, diff))
+        return all(c >= 0 for c in _coroot_coordinates(diff))
     return all(c >= 0 for c in diff)
 
 

@@ -213,26 +213,28 @@ def point_spec(field: ExtField, x: int) -> PointSpec:
 
 def closed_points(field: ExtField) -> list[PointSpec]:
     """Canonical representatives of every closed point of exact degree m,
-    ordered by representative dlog."""
+    ordered by representative dlog.
+
+    x = 1 (dlog 0) is never a point.  An orbit is first met at its smallest
+    dlog, which is therefore its representative.
+    """
     q, p, m = field.q, field.p, field.m
     order = q - 1
     seen = bytearray(order)
     out = []
-    for e in range(1 if m == 1 else 0, order):
+    for e in range(1, order):
         if seen[e]:
             continue
-        orbit = []
+        size = 0
         f = e
         while True:
-            orbit.append(f)
+            size += 1
             seen[f] = 1
             f = f * p % order
             if f == e:
                 break
-        if len(orbit) == m:
-            rep = field.exp[min(orbit)]
-            if rep != 1:
-                out.append(PointSpec(field, rep))
+        if size == m:
+            out.append(PointSpec(field, field.exp[e]))
     return out
 
 

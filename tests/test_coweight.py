@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -41,8 +42,8 @@ def F(*args):
 
 def test_gl_sl_construction():
     gl4 = RootDatum.gl(4)
-    assert gl4.rank == 3 and gl4.vector_length() == 4
-    assert gl4.cartan == ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+    assert gl4.rank == 3 and gl4.n == 4
+    assert gl4.cartan == ()
     assert RootDatum.sl(2).rank == 1
     with pytest.raises(MalformedInput):
         RootDatum.gl(0)
@@ -52,7 +53,7 @@ def test_gl_sl_construction():
 
 def test_from_cartan_validation():
     a2 = RootDatum.from_cartan([[2, -1], [-1, 2]])
-    assert a2.rank == 2 and a2.vector_length() == 2
+    assert a2.rank == 2 and a2.n == 2
     with pytest.raises(MalformedInput):
         RootDatum.from_cartan([])
     with pytest.raises(MalformedInput):
@@ -283,3 +284,22 @@ def test_small_gaps_validates_the_vector_once(monkeypatch):
     assert rep.satisfied and len(rep.gaps) == 39
     assert len(calls) == 1
     assert is_dominant(sl, weyl_vector(sl)) and len(calls) == 2
+
+
+def test_type_a_memory_is_linear_in_n():
+    # type A works on slope differences and partial sums, in O(n) memory; an
+    # (n-1)^2 matrix of ints at n = 2000 takes about 32 MB
+    n = 2000
+    zero = (0,) * n
+    tracemalloc.start()
+    try:
+        sl = RootDatum.sl(n)
+        rho = weyl_vector(sl)
+        assert small_gaps(sl, rho).satisfied
+        gl = RootDatum.gl(n)
+        assert dominance_leq(gl, zero, zero)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert sl.cartan == gl.cartan == ()
