@@ -123,6 +123,9 @@ class _RowWriter:
         self._rows.writerow([_csv_cell(rec.get(k)) for k in self._header])
         self.points += 1
 
+    def write_point(self, head, x: int, x_dlog: int):
+        self.write(head.record(x, x_dlog))
+
     def close(self, datum_count: int, violations):
         pass
 

@@ -13,6 +13,13 @@ checkpoint, one record per closed point) and deterministic: the aggregated
 report bytes are the same whether the records were computed fresh or served
 from the checkpoint.  Timing never enters the report payload for that
 reason.
+
+A point record is written as a head plus a point.  The head holds the 13
+fields fixed by the datum, the degree and the slope outcome; the point holds
+x and x_dlog, which sort after every other key.  Most points of a datum take
+the generic fast path and so share one head per degree, so the report and
+the checkpoint render each head's text once and write each point as that
+text followed by its own two fields.
 """
 
 from __future__ import annotations
@@ -218,6 +225,52 @@ _MISSING = object()
 _RATIONAL = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 
 
+def _head_fields(keys) -> tuple[str, ...]:
+    """The head of a record with these keys: every key but x and x_dlog, in
+    the given order.  A record is written as its head's sorted text followed
+    by its point's, so x and x_dlog must sort after every other key."""
+    ordered = sorted(keys)
+    if ordered[-2:] != ["x", "x_dlog"]:
+        raise ValueError(f"x and x_dlog must sort last among {ordered}")
+    return tuple(k for k in keys if k not in ("x", "x_dlog"))
+
+
+_HEAD_FIELDS = _head_fields(_RECORD_TYPES)
+
+
+class _Head:
+    """The 13 fields of a point record that its datum, degree and slope
+    outcome fix: all but x and x_dlog, in point_record's key order.  The
+    head's text in a JSON report and in a checkpoint line is made once, by
+    the first writer that needs it, and kept here for its later points."""
+
+    __slots__ = ("fields", "violates", "report", "line")
+
+    def __init__(self, rec: dict):
+        self.fields = {k: rec[k] for k in _HEAD_FIELDS}
+        self.violates = rec["violates"]
+        self.report: str | None = None
+        self.line: str | None = None
+
+    def record(self, x: int, x_dlog: int) -> dict:
+        """The point record of (x, x_dlog) under this head, in point_record's
+        key order, with lists of its own."""
+        rec = dict.fromkeys(_RECORD_TYPES)
+        rec.update(self.fields)
+        rec["x"], rec["x_dlog"] = x, x_dlog
+        for key in _RECORD_ITEM_TYPES:  # the list fields
+            rec[key] = list(rec[key])
+        return rec
+
+
+def _head_value(rec: dict) -> tuple:
+    """A record's head fields as one hashable value.  Each field has one
+    JSON type (_RECORD_TYPES, with None apart from every other value), so
+    records whose heads have equal values write the same head text."""
+    return tuple(tuple(v) if type(v) is list else v
+                 for v in map(rec.__getitem__, _HEAD_FIELDS))
+
+
 @functools.cache
 def _is_rational(text: str) -> bool:
     """Cached: a checkpoint repeats a handful of distinct rational strings."""
@@ -281,13 +334,22 @@ def _family_payload(spec: FamilySpec) -> dict:
     return family
 
 
+_ITEM_END = "\n    }"  # the end of a record's text in the report
+
+
 class ReportWriter:
     """The JSON report of one scan, written to a text stream as its records
     arrive: the text of json.dumps(payload, sort_keys=True, indent=2) + "\n".
     The sorted keys put "records" after "family" and before the summary and
     the violations, so a record is rendered and written as soon as it
     arrives and only the point count is kept; close() writes the rest.  The
-    writer holds no text of its own: buffering is the stream's.
+    writer holds no report text of its own: buffering is the stream's.
+
+    A scan hands each point over as its head and its (x, x_dlog) through
+    write_point: the head's fields are rendered on its first point and the
+    text kept on the head, and every point is written as that text followed
+    by its two fields, which sort last.  write(rec) renders a whole record,
+    for the violations and for to_bytes.
 
     Records are flat (string keys; scalar or scalar-list values) and are
     rendered directly, since json.dumps with indent set runs CPython's
@@ -320,13 +382,21 @@ class ReportWriter:
             else:
                 text = _render_scalar(v)
             fields.append(head + text)
-        return "{" + ",".join(fields) + "\n    }" if fields else "{}"
+        return "{" + ",".join(fields) + _ITEM_END if fields else "{}"
 
-    def _put_item(self, rec: dict, index: int):
-        self._put((",\n    " if index else "[\n    ") + self._render(rec))
+    def _put_item(self, text: str, index: int):
+        self._put((",\n    " if index else "[\n    ") + text)
 
     def write(self, rec: dict):
-        self._put_item(rec, self.points)
+        self._put_item(self._render(rec), self.points)
+        self.points += 1
+
+    def write_point(self, head: _Head, x: int, x_dlog: int):
+        text = head.report
+        if text is None:
+            text = head.report = \
+                self._render(head.fields)[:-len(_ITEM_END)] + ',\n      "x": '
+        self._put_item(f'{text}{x},\n      "x_dlog": {x_dlog}{_ITEM_END}', self.points)
         self.points += 1
 
     def close(self, datum_count: int, violations):
@@ -339,7 +409,7 @@ class ReportWriter:
                   f',\n  "summary": {_render_header(summary)}'
                   ',\n  "violations": ')
         for i, rec in enumerate(violations):
-            self._put_item(rec, i)
+            self._put_item(self._render(rec), i)
         self._put(("\n  ]" if violations else "[]") + "\n}\n")
 
 
@@ -388,19 +458,31 @@ class CounterexampleReport:
 
 
 class _Checkpoint:
-    """Append-only NDJSON store; records loaded from it are keyed by
-    (p, c, degree, x_dlog).  A torn or unparseable line from an interrupted
-    run is dropped on load, and a torn final line is ended with a newline
-    when the file is opened for appending, so new records start on a line
-    of their own.  A line that parses but is not a point record of this
-    schema version (exactly its fields, each of its JSON type, rationals
-    matching the schema's pattern) is refused before the file is opened
-    for appending: a record of another version may carry a precision_used
-    of another meaning, so it is never mixed in."""
+    """Append-only NDJSON store of point records, one per line, each the
+    text of json.dumps(record, sort_keys=True).  A record is written as its
+    head's sorted text, made once per head and kept on it, followed by x
+    and x_dlog, which sort last; each line is flushed as it is written.
+
+    The lines loaded from it are served by (p, c, degree, x_dlog), each as
+    (head, x, line number): lines whose head fields are equal share one
+    head, so a resume holds a handful of heads and three numbers per line
+    rather than a record per line.  serve() refuses a line whose x is not
+    the element at its x_dlog, naming it as path:line.
+
+    A torn or unparseable line from an interrupted run is dropped on load,
+    and a torn final line is ended with a newline when the file is opened
+    for appending, so new records start on a line of their own.  A line
+    that parses but is not a point record of this schema version (exactly
+    its fields, each of its JSON type, rationals matching the schema's
+    pattern) is refused before the file is opened for appending: a record
+    of another version may carry a precision_used of another meaning, so it
+    is never mixed in."""
 
     def __init__(self, path: str | None):
+        self._path = path
         self._fh = None
-        self.records: dict[tuple, dict] = {}
+        self._served: dict[tuple, tuple[_Head, int, int]] = {}
+        heads: dict[tuple, _Head] = {}
         torn = False
         if path and os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
@@ -416,15 +498,37 @@ class _Checkpoint:
                     if not _is_point_record(rec):
                         raise MalformedInput(
                             f"{path}:{lineno}: checkpoint line is not a point record")
-                    self.records[_record_key(rec)] = rec
+                    value = _head_value(rec)
+                    head = heads.get(value)
+                    if head is None:
+                        head = heads[value] = _Head(rec)
+                    # value[1:4] is (p, c, degree), with c as a tuple
+                    self._served[(*value[1:4], rec["x_dlog"])] = (head, rec["x"], lineno)
         if path:
             self._fh = open(path, "a", encoding="utf-8")
             if torn:
                 self._fh.write("\n")
 
-    def add(self, rec: dict):
+    def serve(self, datum: HypergeometricDatum, degree: int, x: int,
+              x_dlog: int) -> _Head | None:
+        """The head of the loaded line at the point (x, x_dlog) of this
+        degree, or None if no line holds it."""
+        entry = self._served.get((datum.p, datum.c, degree, x_dlog))
+        if entry is None:
+            return None
+        head, served_x, lineno = entry
+        if served_x != x:
+            raise MalformedInput(
+                f"{self._path}:{lineno}: checkpoint line has x = {served_x}, "
+                f"but the element at x_dlog {x_dlog} is {x}")
+        return head
+
+    def add(self, head: _Head, x: int, x_dlog: int):
         if self._fh is not None:
-            self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            text = head.line
+            if text is None:
+                text = head.line = json.dumps(head.fields, sort_keys=True)[:-1] + ', "x": '
+            self._fh.write(f'{text}{x}, "x_dlog": {x_dlog}}}\n')
             self._fh.flush()
 
     def close(self):
@@ -442,35 +546,55 @@ def scan_family(spec: FamilySpec, checkpoint: str | None = None,
     in (p, c) order and points in (degree, dlog) order, so the records are
     in _record_key order as they are made.
 
-    With a writer (a ReportWriter, or anything with its write(rec) and
-    close(datum_count, violations)), each record is handed to it as soon as
-    it exists, the scan keeps only the violations, and the returned report's
-    records are None.  Without one the records are kept in the report.  A
-    triple-gap datum's verdict reads only its degree-1 violations, since a
-    top gap above 1 makes a record violate.
+    Each point's record is a head (see _Head) plus its x and x_dlog.  A
+    fast-path head depends on the datum and the degree alone, so one head
+    table, keyed by degree and cleared at each datum, makes and renders it
+    once; any other point builds a head of its own, kept no longer than the
+    point.  A served point takes the head of its checkpoint line.
+
+    With a writer (a ReportWriter, or anything with its write_point(head,
+    x, x_dlog) and close(datum_count, violations)), each point is handed to
+    it as soon as it exists, the scan keeps only the violations, and the
+    returned report's records are None.  Without one the records are kept
+    in the report.  A triple-gap datum's verdict reads only its degree-1
+    violations, since a top gap above 1 makes a record violate.
     """
     t0 = time.monotonic()
     datums = family_members(spec)
     records: list[dict] = []
-    write = records.append if writer is None else writer.write
+    if writer is None:
+        def put(head, x, x_dlog):
+            records.append(head.record(x, x_dlog))
+    else:
+        put = writer.write_point
     violations: list[dict] = []
     failures: list[tuple[int, int]] = []
+    fast_heads: dict[int, _Head] = {}
     store = _Checkpoint(checkpoint)
     try:
         for datum in datums:
             expected = predicted_violation_points(datum)
             c3 = _triple_gap_c3(datum)
             first = len(violations)
+            fast_heads.clear()
             for degree in range(1, spec.m_max + 1):
                 for pt in closed_points(field_create(datum.p, degree)):
-                    rec = store.records.get((datum.p, datum.c, degree, pt.dlog))
-                    if rec is None:
-                        rec = point_record(slopes_at_point(datum, pt))
-                        store.add(rec)
-                    write(rec)
-                    if rec["violates"]:
-                        violations.append(
-                            {**rec, "expected": degree == 1 and rec["x"] in expected})
+                    x, x_dlog = pt.x, pt.dlog
+                    head = store.serve(datum, degree, x, x_dlog)
+                    if head is None:
+                        report = slopes_at_point(datum, pt)
+                        if not report.fast_path:
+                            head = _Head(point_record(report))
+                        else:
+                            head = fast_heads.get(degree)
+                            if head is None:
+                                head = fast_heads[degree] = _Head(point_record(report))
+                        store.add(head, x, x_dlog)
+                    put(head, x, x_dlog)
+                    if head.violates:
+                        rec = head.record(x, x_dlog)
+                        rec["expected"] = degree == 1 and x in expected
+                        violations.append(rec)
                 if degree == 1 and c3 is not None and \
                         not triple_gap_unique(datum.p, c3, violations[first:]):
                     failures.append((datum.p, c3))

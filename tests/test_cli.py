@@ -533,6 +533,27 @@ def test_scan_checkpoint_of_schema_version_1_is_a_usage_error(capsys, tmp_path):
     assert ckpt.read_text(encoding="utf-8") == body
 
 
+def test_scan_checkpoint_line_whose_x_is_not_at_its_dlog_is_a_usage_error(capsys,
+                                                                          tmp_path):
+    # the first point of GF(7) is x = 3 at x_dlog 1; served as x = 6 it
+    # would put a second x = 6 into the report
+    ckpt = tmp_path / "ck.ndjson"
+    argv = ["scan", "--family", "explicit", "--c", "2,3", "--p-range", "7..7",
+            "--checkpoint", str(ckpt)]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    first, *rest = ckpt.read_text(encoding="utf-8").splitlines(keepends=True)
+    rec = json.loads(first)
+    assert (rec["x"], rec["x_dlog"]) == (3, 1)
+    rec["x"] = 6
+    body = json.dumps(rec, sort_keys=True) + "\n" + "".join(rest)
+    ckpt.write_text(body, encoding="utf-8")
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == "" and f"{ckpt}:1: checkpoint line has x = 6" in err
+    assert ckpt.read_text(encoding="utf-8") == body
+
+
 # -- hecke -------------------------------------------------------------------
 
 def test_hecke_basic(capsys):

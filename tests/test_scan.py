@@ -12,6 +12,7 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,9 +27,12 @@ from isoslope.errors import InvalidC3, MalformedInput, NotPrime, PrimeTooSmall
 from isoslope.hyper import HypergeometricDatum, closed_points, point_spec, slopes_at_point
 from isoslope.scan import (
     SCHEMA_VERSION,
+    _HEAD_FIELDS,
     _RATIONAL,
     _RECORD_ITEM_TYPES,
     _RECORD_TYPES,
+    _Checkpoint,
+    _head_fields,
     _is_point_record,
     _record_key,
     CounterexampleReport,
@@ -584,3 +588,94 @@ def test_triple_gap_verdict_reads_only_the_datums_degree_one_violations(monkeypa
         want = [v for v in report.violations if v["degree"] == 1 and v["p"] == p
                 and v["c"] == sorted((1, p - 2, c3))]
         assert got == want and len(want) == 2
+
+
+# -- records written as a shared head plus the point ---------------------------
+
+_HEAD_SPECS = [
+    (FamilySpec("triplegap", 5, 13), ["--family", "triplegap", "--p-range", "5..13"]),
+    (FamilySpec("explicit", 7, 7, c=(2, 3), m_max=3),
+     ["--family", "explicit", "--c", "2,3", "--p-range", "7..7", "--m-max", "3"]),
+    (FamilySpec("quintic", 11, 31), ["--family", "quintic", "--p-range", "11..31"]),
+]
+_HEAD_IDS = ["triplegap", "explicit-m3", "quintic"]
+
+
+def test_head_fields_are_the_record_fields_before_the_point():
+    assert _HEAD_FIELDS == tuple(k for k in _RECORD_TYPES if k not in ("x", "x_dlog"))
+    assert len(_HEAD_FIELDS) == 13
+    assert _head_fields(("b", "x", "a", "x_dlog")) == ("b", "a")
+    # a head key sorting after x would land between the head's text and
+    # the point's
+    for keys in ((*_RECORD_TYPES, "y"), ("x_dlog", "x", "xa"), ("a", "x")):
+        with pytest.raises(ValueError, match="must sort last"):
+            _head_fields(keys)
+
+
+@pytest.mark.parametrize("spec, argv", _HEAD_SPECS, ids=_HEAD_IDS)
+def test_checkpoint_lines_written_through_heads_equal_json_dumps(tmp_path, spec, argv):
+    path = tmp_path / "scan.ndjson"
+    report = scan_family(spec, checkpoint=str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(report.records)
+    slow = 0
+    for line in lines:
+        rec = json.loads(line)
+        datum = HypergeometricDatum(rec["p"], tuple(rec["c"]))
+        pt = point_spec(field_create(rec["p"], rec["degree"]), rec["x"])
+        fresh = point_record(slopes_at_point(datum, pt))
+        assert line == json.dumps(fresh, sort_keys=True)
+        slow += rec["strategy"] is not None and rec["precision_used"] is not None
+    # each scan has degenerate points, off the fast path, with heads of
+    # their own
+    assert slow
+
+
+@pytest.mark.parametrize("spec, argv", _HEAD_SPECS, ids=_HEAD_IDS)
+def test_resume_from_every_other_line_equals_a_fresh_scan(capsys, tmp_path, spec, argv):
+    # served and computed points of one datum then share heads
+    ckpt = tmp_path / "scan.ndjson"
+    fresh = _cli_stdout(capsys, *argv, "--checkpoint", str(ckpt))
+    lines = ckpt.read_text(encoding="utf-8").splitlines(keepends=True)
+    ckpt.write_text("".join(lines[::2]), encoding="utf-8")
+    resumed = _cli_stdout(capsys, *argv, "--checkpoint", str(ckpt))
+    assert resumed == fresh == _oracle_bytes(scan_family(spec)).decode()
+    again = ckpt.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(again) == len(lines) and set(again) == set(lines)
+
+
+def test_each_head_is_rendered_once(capsys, monkeypatch):
+    argv = ["--family", "explicit", "--c", "2,3", "--p-range", "7..7", "--m-max", "5"]
+    records = scan_family(FamilySpec("explicit", 7, 7, c=(2, 3), m_max=5)).records
+    heads = {json.dumps({k: r[k] for k in _HEAD_FIELDS}) for r in records}
+    assert (len(records), len(heads)) == (4086, 6)
+    rendered = []
+    real = ReportWriter._render
+
+    def counting(self, rec):
+        rendered.append(rec)
+        return real(self, rec)
+
+    monkeypatch.setattr(ReportWriter, "_render", counting)
+    out = _cli_stdout(capsys, *argv)
+    assert json.loads(out)["records"] == list(records)
+    assert len(rendered) == len(heads)
+
+
+def test_checkpoint_load_keeps_heads_not_records(tmp_path):
+    path = tmp_path / "scan.ndjson"
+    scan_family(FamilySpec("triplegap", 5, 43), checkpoint=str(path))
+    lines = path.read_text(encoding="utf-8").count("\n")
+    assert lines == 6936
+    tracemalloc.start()
+    try:
+        store = _Checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    store.close()
+    # served lines keep (head, x, line number), sharing 720 heads; a dict
+    # per line took about 1600 bytes a line
+    assert len(store._served) == lines
+    assert len({id(head) for head, _, _ in store._served.values()}) == 720
+    assert peak < 600 * lines
