@@ -418,7 +418,8 @@ class ExtField:
 
 def norm(field: ExtField, y: int) -> int:
     """Norm to GF(p): y -> y^((q-1)/(p-1)); 0 maps to 0.  Read off the
-    dlog/exp tables; reference.py keeps an independent copy."""
+    dlog/exp tables; the tests' oracle (tests/reference.py) keeps an
+    independent copy."""
     if not 0 <= y < field.q:
         raise FieldMismatch(f"element {y} outside GF({field.p}^{field.m})")
     if y == 0:
@@ -592,7 +593,10 @@ def embed_generator_dlog(small: ExtField, big: ExtField) -> int:
 
 
 def embed_element(small: ExtField, big: ExtField, x: int) -> int:
-    """Image of x in the bigger field under embed_generator_dlog's embedding."""
+    """Image of x in the bigger field under embed_generator_dlog's embedding.
+
+    Only the tests call it, but it stays in the package: the benchmark's
+    tracer (perfbench/tracer.py) wraps it by this name."""
     if x == 0:
         return 0
     t = embed_generator_dlog(small, big)

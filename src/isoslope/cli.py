@@ -223,6 +223,10 @@ def cmd_scan(args) -> int:
     spec = FamilySpec(args.family, p_min, p_max, c, args.m_max)
     if args.workers < 1:
         raise MalformedInput(f"need workers >= 1, got {args.workers}")
+    # the report would replace the checkpoint, which the next run then refuses
+    if args.out and args.checkpoint and \
+            os.path.realpath(args.out) == os.path.realpath(args.checkpoint):
+        raise MalformedInput(f"--out and --checkpoint name the same file {args.out}")
     with _replacing(args.out) if args.out else _stdout_when_complete() as out:
         writer = ReportWriter(spec, out) if args.format == "json" else \
             _RowWriter(args.format, out)

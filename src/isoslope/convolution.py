@@ -8,8 +8,8 @@ to a number-theoretic transform for large operands, so the multiply is
 quasi-linear.  The product's upper n slots are added onto its lower n (the
 cyclic fold, done on the decimals), and the slots are read back from one
 decimal string.  This needs the C decimal module: under the pure-Python
-_pydecimal the multiply is quadratic.  The schoolbook loop is kept only as
-the independent oracle the tests compare it with.
+_pydecimal the multiply is quadratic.  The independent oracle the tests
+compare it with, a schoolbook loop, lives with the tests (tests/reference.py).
 """
 
 from __future__ import annotations
@@ -20,21 +20,6 @@ from .errors import MalformedInput
 
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                          Emin=decimal.MIN_EMIN)
-
-
-def cyclic_convolve_schoolbook(a, b, modulus: int):
-    if len(a) != len(b):
-        raise MalformedInput(f"length mismatch: {len(a)} vs {len(b)}")
-    n = len(a)
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                k = i + j
-                if k >= n:
-                    k -= n
-                out[k] += ai * bj
-    return [v % modulus for v in out]
 
 
 def cyclic_convolve(a, b, modulus: int):

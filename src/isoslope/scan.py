@@ -101,8 +101,8 @@ def family_members(spec: FamilySpec) -> list[HypergeometricDatum]:
 # At p = 31, x = 4 and 17 are the roots of the unit-root polynomial (slopes
 # 5/2,5/2,1/2,1/2); x = 5, 12, 16, 27 keep a unit root but pick up an extra
 # factor of p in the second coefficient (slopes 3,3/2,3/2,0), as does x = 3
-# at p = 11.  All verified with every strategy and against the enumeration
-# oracle in reference.py.
+# at p = 11.  All verified with every strategy and against the tests'
+# enumeration oracle (tests/reference.py).
 _QUINTIC_PINNED = {
     11: frozenset({3}),
     31: frozenset({4, 5, 12, 16, 17, 27}),
@@ -345,17 +345,18 @@ class ReportWriter:
     arrives and only the point count is kept; close() writes the rest.  The
     writer holds no report text of its own: buffering is the stream's.
 
-    A scan hands each point over as its head and its (x, x_dlog) through
-    write_point: the head's fields are rendered on its first point and the
-    text kept on the head, and every point is written as that text followed
-    by its two fields, which sort last.  write(rec) renders a whole record,
-    for the violations and for to_bytes.
+    This is the one renderer of a scan report: scan_family writes to one
+    whether or not its caller passed one.  A scan hands each point over as
+    its head and its (x, x_dlog) through write_point: the head's fields are
+    rendered on its first point and the text kept on the head, and every
+    point is written as that text followed by its two fields, which sort
+    last.  close() renders the violations whole.
 
-    Records are flat (string keys; scalar or scalar-list values) and are
-    rendered directly, since json.dumps with indent set runs CPython's
-    pure-Python encoder: one layout of key heads per record shape, and the
-    text of each scalar list memoised on its element types as well as its
-    values, since (True,) == (1,)."""
+    Heads and violations are flat (string keys; scalar or scalar-list
+    values) and are rendered directly, since json.dumps with indent set runs
+    CPython's pure-Python encoder: one layout of key heads per shape, and
+    the text of each scalar list memoised on its element types as well as
+    its values, since (True,) == (1,)."""
 
     def __init__(self, spec: FamilySpec, stream):
         self.points = 0
@@ -387,10 +388,6 @@ class ReportWriter:
     def _put_item(self, text: str, index: int):
         self._put((",\n    " if index else "[\n    ") + text)
 
-    def write(self, rec: dict):
-        self._put_item(self._render(rec), self.points)
-        self.points += 1
-
     def write_point(self, head: _Head, x: int, x_dlog: int):
         text = head.report
         if text is None:
@@ -415,46 +412,29 @@ class ReportWriter:
 
 @dataclass(frozen=True)
 class CounterexampleReport:
-    """Aggregated scan outcome: the point records (None when the scan wrote
-    them to a writer), the gap violations with their expected/discovery
-    flag, and counts.  elapsed_s and triple_gap_failures, the (p, c3) of
-    every triple-gap datum whose degree-1 violations fail
-    triple_gap_unique, are run metadata and excluded from the serialized
-    payload.  A report whose records went to a writer refuses to render."""
+    """Aggregated scan outcome: the report's text (None when the scan wrote
+    it to its caller's writer), the gap violations with their
+    expected/discovery flag, and counts.  elapsed_s and
+    triple_gap_failures, the (p, c3) of every triple-gap datum whose
+    degree-1 violations fail triple_gap_unique, are run metadata and stay
+    out of the report."""
 
     spec: FamilySpec
-    records: tuple[dict, ...] | None
+    text: str | None
     violations: tuple[dict, ...]
     datum_count: int
     elapsed_s: float
     triple_gap_failures: tuple[tuple[int, int], ...]
 
-    def payload(self) -> dict:
-        if self.records is None:
+    def to_bytes(self) -> bytes:
+        """The report as ReportWriter wrote it: the bytes of
+        json.dumps(payload, sort_keys=True, indent=2) + "\n".  A report
+        whose scan wrote to its caller's writer refuses: the writer's stream
+        holds the report."""
+        if self.text is None:
             raise ValueError("the scan wrote its records to its writer, "
                              "which holds the report")
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "family": _family_payload(self.spec),
-            "summary": {
-                "datums": self.datum_count,
-                "points": len(self.records),
-                "violations": len(self.violations),
-            },
-            "violations": list(self.violations),
-            "records": list(self.records),
-        }
-
-    def to_bytes(self) -> bytes:
-        """The payload as canonical JSON, rendered by ReportWriter: the
-        bytes of json.dumps(payload, sort_keys=True, indent=2) + "\n"."""
-        payload = self.payload()  # refuses a report whose records are gone
-        buf = io.StringIO()
-        writer = ReportWriter(self.spec, buf)
-        for rec in payload["records"]:
-            writer.write(rec)
-        writer.close(self.datum_count, self.violations)
-        return buf.getvalue().encode()
+        return self.text.encode()
 
 
 class _Checkpoint:
@@ -552,21 +532,20 @@ def scan_family(spec: FamilySpec, checkpoint: str | None = None,
     once; any other point builds a head of its own, kept no longer than the
     point.  A served point takes the head of its checkpoint line.
 
-    With a writer (a ReportWriter, or anything with its write_point(head,
-    x, x_dlog) and close(datum_count, violations)), each point is handed to
-    it as soon as it exists, the scan keeps only the violations, and the
-    returned report's records are None.  Without one the records are kept
-    in the report.  A triple-gap datum's verdict reads only its degree-1
-    violations, since a top gap above 1 makes a record violate.
+    Each point is handed to the writer (a ReportWriter, or anything with
+    its write_point(head, x, x_dlog) and close(datum_count, violations)) as
+    soon as it exists, and the scan keeps only the violations.  Without a
+    writer the scan writes to a ReportWriter over an in-memory stream, and
+    the returned report holds its text; with one, the report's text is
+    None.  A triple-gap datum's verdict reads only its degree-1 violations,
+    since a top gap above 1 makes a record violate.
     """
     t0 = time.monotonic()
     datums = family_members(spec)
-    records: list[dict] = []
+    buf = None
     if writer is None:
-        def put(head, x, x_dlog):
-            records.append(head.record(x, x_dlog))
-    else:
-        put = writer.write_point
+        buf = io.StringIO()
+        writer = ReportWriter(spec, buf)
     violations: list[dict] = []
     failures: list[tuple[int, int]] = []
     fast_heads: dict[int, _Head] = {}
@@ -590,7 +569,7 @@ def scan_family(spec: FamilySpec, checkpoint: str | None = None,
                             if head is None:
                                 head = fast_heads[degree] = _Head(point_record(report))
                         store.add(head, x, x_dlog)
-                    put(head, x, x_dlog)
+                    writer.write_point(head, x, x_dlog)
                     if head.violates:
                         rec = head.record(x, x_dlog)
                         rec["expected"] = degree == 1 and x in expected
@@ -598,10 +577,9 @@ def scan_family(spec: FamilySpec, checkpoint: str | None = None,
                 if degree == 1 and c3 is not None and \
                         not triple_gap_unique(datum.p, c3, violations[first:]):
                     failures.append((datum.p, c3))
-        if writer is not None:
-            writer.close(len(datums), violations)
+        writer.close(len(datums), violations)
     finally:
         store.close()
-    return CounterexampleReport(spec, tuple(records) if writer is None else None,
+    return CounterexampleReport(spec, None if buf is None else buf.getvalue(),
                                 tuple(violations), len(datums),
                                 time.monotonic() - t0, tuple(failures))

@@ -1,12 +1,19 @@
-"""Brute-force trace engines, structured independently of the fast path.
+"""Independent oracles the tests check the production engines against.
 
-The production path works in the discrete-log index domain (norms read off
+Brute-force trace engines, structured independently of the fast path.  The
+production path works in the discrete-log index domain (norms read off
 exponent tables, traces folded by cyclic convolution).  Everything here
 stays in the element domain instead: norms are computed by square-and-
 multiply on raw polynomial arithmetic, and tuple sums are accumulated
 through an element product table built from multiplication-by-a matrices.
 Nothing below touches field.exp or field.dlog, so agreement between the two
 paths checks the whole dlog machinery against first principles.
+
+cyclic_convolve_schoolbook is the quadratic loop that
+isoslope.convolution.cyclic_convolve is checked against.
+
+This module needs numpy, a test dependency, and so lives with the tests
+rather than in the package.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ import functools
 
 import numpy as np
 
-from .arith import ExtField, teichmuller_table
-from .errors import DegreeTooLarge, MalformedInput
+from isoslope.arith import ExtField, teichmuller_table
+from isoslope.errors import DegreeTooLarge, MalformedInput
 
 # int64 scatter products must not overflow: modulus^2 < 2^63
 MAX_VECTOR_MODULUS = 3_000_000_000
@@ -153,3 +160,19 @@ def trace_sum_at(c: tuple[int, ...], field: ExtField, x: int, precision: int,
 
     rec(0, 1, 1)
     return total
+
+
+def cyclic_convolve_schoolbook(a, b, modulus: int):
+    """Cyclic convolution mod `modulus` by the quadratic loop."""
+    if len(a) != len(b):
+        raise MalformedInput(f"length mismatch: {len(a)} vs {len(b)}")
+    n = len(a)
+    out = [0] * n
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                k = i + j
+                if k >= n:
+                    k -= n
+                out[k] += ai * bj
+    return [v % modulus for v in out]

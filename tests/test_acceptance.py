@@ -16,9 +16,6 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from conftest import record_acceptance
-
-from isoslope import reference
 from isoslope.arith import Valuation, embed_element, field_create, norm
 from isoslope.coweight import (
     RootDatum,
@@ -44,6 +41,9 @@ from isoslope.hyper import (
 )
 from isoslope.polygon import HullPoint, lower_hull, slopes_descending
 from isoslope.scan import FamilySpec, scan_family, verify_triple_gap_uniqueness
+
+import reference
+from conftest import record_acceptance
 
 F = Fraction
 

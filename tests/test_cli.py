@@ -196,11 +196,18 @@ def test_cli_does_not_load_numpy():
 
 def test_cli_runs_without_the_test_dependencies():
     # the package promises the standard library only: a scan must run with
-    # every test dependency unimportable
+    # every test dependency unimportable.  And the CLI's import loads every
+    # module the package ships, so no test-only module ships with it.
     code = ("import sys\n"
+            "from pathlib import Path\n"
             "for name in ('numpy', 'hypothesis', 'jsonschema'):\n"
             "    sys.modules[name] = None\n"
             "from isoslope.cli import main\n"
+            "package = Path(sys.modules['isoslope'].__file__).parent\n"
+            "shipped = {'isoslope.' + f.stem for f in package.glob('*.py')\n"
+            "           if f.stem != '__init__'}\n"
+            "loaded = {name for name in sys.modules if name.startswith('isoslope.')}\n"
+            "assert shipped == loaded, sorted(shipped ^ loaded)\n"
             "rc = main(['scan', '--family', 'quintic', '--p-range', '11..11',\n"
             "           '--m-max', '2'])\n"
             "assert rc == 0, rc\n")
@@ -426,6 +433,26 @@ def test_scan_checkpoint_that_is_a_directory_is_a_usage_error(capsys, tmp_path):
     assert out == ""
     assert err.startswith(f"usage error: --checkpoint {tmp_path}:")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("exists", [False, True], ids=["missing", "existing"])
+def test_scan_out_naming_the_checkpoint_is_refused_before_any_point_is_computed(
+        capsys, tmp_path, monkeypatch, exists):
+    # the report would replace the checkpoint, and the next run would then
+    # refuse the report's first line as a checkpoint line
+    ckpt = tmp_path / "same.json"
+    if exists:
+        run(capsys, "scan", "--family", "triplegap", "--p-range", "5..7",
+            "--checkpoint", str(ckpt))
+    before = ckpt.read_bytes() if exists else None
+    monkeypatch.setattr("isoslope.scan.slopes_at_point", _no_point_may_be_computed)
+    monkeypatch.chdir(tmp_path)  # one path relative, the other absolute
+    code, out, err = run(capsys, "scan", "--family", "triplegap", "--p-range", "5..7",
+                         "--checkpoint", "same.json", "--out", str(ckpt))
+    assert code == 64 and out == ""
+    assert err == f"usage error: --out and --checkpoint name the same file {ckpt}\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["same.json"] if exists else [])
+    assert (ckpt.read_bytes() if exists else None) == before
 
 
 def test_scan_explicit_needs_c(capsys):

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoslope.convolution import cyclic_convolve, cyclic_convolve_schoolbook
+from isoslope.convolution import cyclic_convolve
 from isoslope.errors import MalformedInput
+from reference import cyclic_convolve_schoolbook
 
 
 def test_known_small_case():

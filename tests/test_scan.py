@@ -2,12 +2,15 @@
 
 The report-bytes tests pin the determinism contract: same family in, same
 bytes out, whether computed fresh or resumed from a checkpoint, including
-one with torn trailing lines left by an interrupted run.  The CLI streams
-the report point by point; its output is held to the same oracle.
+one with torn trailing lines left by an interrupted run.  A scan, from the
+library or the CLI, streams its report point by point through ReportWriter;
+the bytes are held to json.dumps of a payload built here, with each record
+read from the text json.dumps gave its checkpoint line.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import re
@@ -32,10 +35,10 @@ from isoslope.scan import (
     _RECORD_ITEM_TYPES,
     _RECORD_TYPES,
     _Checkpoint,
+    _Head,
     _head_fields,
     _is_point_record,
     _record_key,
-    CounterexampleReport,
     FamilySpec,
     ReportWriter,
     family_members,
@@ -53,6 +56,11 @@ RECORD_SCHEMA = json.loads(_SCHEMA_PATH.read_text(encoding="utf-8"))
 
 def validate_record(rec):
     jsonschema.validate(rec, RECORD_SCHEMA)
+
+
+def _records(report) -> list[dict]:
+    """The point records of a scan's report, read back from its text."""
+    return json.loads(report.to_bytes())["records"]
 
 
 # -- family membership -------------------------------------------------------
@@ -97,7 +105,7 @@ def test_family_spec_validation():
     FamilySpec("explicit", 7, 11, c=(2, 4), m_max=2),
 ], ids=["quintic", "triplegap", "explicit-m2"])
 def test_scan_records_come_in_record_key_order(spec):
-    records = scan_family(spec).records
+    records = _records(scan_family(spec))
     keys = [_record_key(r) for r in records]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
@@ -180,14 +188,15 @@ def test_degree_two_record_against_schema():
 def test_triplegap_scan_p7():
     report = scan_family(FamilySpec("triplegap", 7, 7))
     assert report.datum_count == 4
-    assert len(report.records) == 4 * 5
+    payload = json.loads(report.to_bytes())
+    assert len(payload["records"]) == 4 * 5
     assert len(report.violations) == 8
     assert all(v["expected"] for v in report.violations)
     for v in report.violations:
         validate_record({k: val for k, val in v.items() if k != "expected"})
         datum = HypergeometricDatum(v["p"], tuple(v["c"]))
         assert v["x"] in predicted_violation_points(datum)
-    payload = report.payload()
+    assert payload["violations"] == list(report.violations)
     assert payload["summary"] == {"datums": 4, "points": 20, "violations": 8}
     assert payload["family"] == {"kind": "triplegap", "p_min": 7, "p_max": 7,
                                  "m_max": 1}
@@ -207,11 +216,11 @@ def test_scan_bytes_exclude_run_metadata():
 
 def test_explicit_scan_includes_degree_two_points():
     spec = FamilySpec("explicit", 7, 7, c=(2, 4), m_max=2)
-    report = scan_family(spec)
-    assert {r["degree"] for r in report.records} == {1, 2}
-    assert len(report.records) == 5 + 21
-    assert report.payload()["family"]["c"] == [2, 4]
-    for rec in report.records:
+    payload = json.loads(scan_family(spec).to_bytes())
+    assert {r["degree"] for r in payload["records"]} == {1, 2}
+    assert len(payload["records"]) == 5 + 21
+    assert payload["family"]["c"] == [2, 4]
+    for rec in payload["records"]:
         validate_record(rec)
 
 
@@ -228,7 +237,7 @@ def test_checkpoint_resume_serves_cached_records(tmp_path, monkeypatch):
     path = str(tmp_path / "scan.ndjson")
     first = scan_family(spec, checkpoint=path)
     lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
-    assert len(lines) == len(first.records)
+    assert len(lines) == len(_records(first))
     for ln in lines:
         validate_record(json.loads(ln))
 
@@ -347,7 +356,7 @@ def test_record_check_follows_the_schema():
 
 
 def test_scan_records_pass_the_check_and_the_schema():
-    records = scan_family(FamilySpec("quintic", 11, 31)).records
+    records = _records(scan_family(FamilySpec("quintic", 11, 31)))
     assert len(records) == 9 + 29  # x = 0 and 1 are not points
     for rec in records:
         assert _is_point_record(rec)
@@ -413,8 +422,41 @@ def test_checkpoint_line_with_bad_fields_is_refused(tmp_path, edit):
 
 # -- the report renderer against json.dumps ------------------------------------
 
-def _oracle_bytes(report) -> bytes:
-    return (json.dumps(report.payload(), sort_keys=True, indent=2) + "\n").encode()
+def _oracle_bytes(spec, records, violations, datums) -> bytes:
+    """A report's bytes as json.dumps renders its payload, built here."""
+    family = {"kind": spec.kind, "p_min": spec.p_min, "p_max": spec.p_max,
+              "m_max": spec.m_max}
+    if spec.c is not None:
+        family["c"] = list(spec.c)
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "family": family,
+        "summary": {"datums": datums, "points": len(records),
+                    "violations": len(violations)},
+        "violations": list(violations),
+        "records": list(records),
+    }
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+
+def _scan_and_oracle(spec, path):
+    """A fresh scan with its checkpoint at path, and the oracle bytes of its
+    report, whose records are read from the checkpoint's lines."""
+    report = scan_family(spec, checkpoint=str(path))
+    records = [json.loads(ln) for ln in path.read_text(encoding="utf-8").splitlines()]
+    return report, _oracle_bytes(spec, records, report.violations, report.datum_count)
+
+
+@functools.cache
+def _real_records() -> tuple[dict, ...]:
+    """Point records of degree 1 and 2, degenerate and violating, and on
+    the fast path (strategy and precision None)."""
+    d1, d2 = HypergeometricDatum(7, (1, 5, 1)), HypergeometricDatum(7, (2, 4))
+    f1 = field_create(7, 1)
+    reports = [slopes_at_point(d1, point_spec(f1, x)) for x in (2, 3, 4)]
+    reports += [slopes_at_point(d2, pt) for pt in closed_points(field_create(7, 2))[:2]]
+    assert any(r.fast_path for r in reports) and any(r.violates_small_gaps for r in reports)
+    return tuple(point_record(r) for r in reports)
 
 
 _TRICKY_TEXT = st.text(st.sampled_from('a1/"\\\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600 '),
@@ -430,35 +472,50 @@ _FLAT_RECORDS = st.lists(
     max_size=5)
 _SPECS = st.sampled_from([FamilySpec("triplegap", 5, 7),
                           FamilySpec("explicit", 5, 11, c=(2, 3), m_max=2)])
+_INTS = st.integers(min_value=0, max_value=10 ** 30)
+_POINTS = st.lists(st.tuples(st.integers(min_value=0, max_value=4), _INTS, _INTS),
+                   max_size=6)
+
+
+def _written(spec, points, violations, datums) -> bytes:
+    """The report a ReportWriter writes for these points, each an index
+    into _real_records() with its (x, x_dlog), and these violations.  Points
+    of one record share its head, as a scan's points do."""
+    heads = [_Head(rec) for rec in _real_records()]
+    buf = io.StringIO()
+    writer = ReportWriter(spec, buf)
+    for i, x, x_dlog in points:
+        writer.write_point(heads[i], x, x_dlog)
+    writer.close(datums, violations)
+    return buf.getvalue().encode()
 
 
 @settings(max_examples=300, deadline=None)
-@given(spec=_SPECS, records=_FLAT_RECORDS, violations=_FLAT_RECORDS,
+@given(spec=_SPECS, points=_POINTS, violations=_FLAT_RECORDS,
        datums=st.integers(min_value=0, max_value=10 ** 20))
-def test_rendered_report_equals_json_dumps(spec, records, violations, datums):
-    report = CounterexampleReport(spec, tuple(records), tuple(violations), datums,
-                                  0.0, ())
-    assert report.to_bytes() == _oracle_bytes(report)
+def test_rendered_report_equals_json_dumps(spec, points, violations, datums):
+    # real heads go through write_point, arbitrary flat records through close
+    records = [dict(_real_records()[i], x=x, x_dlog=x_dlog) for i, x, x_dlog in points]
+    assert _written(spec, points, violations, datums) == \
+        _oracle_bytes(spec, records, violations, datums)
 
 
 def test_rendered_lists_keep_bools_apart_from_ints():
-    records = [{"a": [1, 0]}, {"a": [True, False]}, {"a": [1, False]},
-               {"a": [True, 0]}, {"a": [1, 0]}, {"b": True, "a": 1}, {"b": 1, "a": True}]
-    report = CounterexampleReport(FamilySpec("triplegap", 5, 5), tuple(records),
-                                  tuple(records[::-1]), 1, 0.0, ())
-    raw = report.to_bytes()
-    assert raw == _oracle_bytes(report)
-    assert [r["a"] for r in json.loads(raw)["records"][:5]] == \
+    spec = FamilySpec("triplegap", 5, 5)
+    violations = [{"a": [1, 0]}, {"a": [True, False]}, {"a": [1, False]},
+                  {"a": [True, 0]}, {"a": [1, 0]}, {"b": True, "a": 1},
+                  {"b": 1, "a": True}]
+    raw = _written(spec, (), violations, 1)
+    assert raw == _oracle_bytes(spec, [], violations, 1)
+    assert [r["a"] for r in json.loads(raw)["violations"][:5]] == \
         [[1, 0], [True, False], [1, False], [True, 0], [1, 0]]
 
 
 @pytest.mark.parametrize("value", [0.5, {"k": 1}, [[1]], [{"k": 1}], (1, 2)],
                          ids=["float", "object", "nested-list", "object-in-list", "tuple"])
 def test_renderer_refuses_values_a_point_record_never_holds(value):
-    report = CounterexampleReport(FamilySpec("triplegap", 5, 5), ({"a": value},), (),
-                                  1, 0.0, ())
     with pytest.raises(TypeError):
-        report.to_bytes()
+        _written(FamilySpec("triplegap", 5, 5), (), [{"a": value}], 1)
 
 
 @pytest.mark.parametrize("spec", [
@@ -466,11 +523,11 @@ def test_renderer_refuses_values_a_point_record_never_holds(value):
     FamilySpec("triplegap", 5, 13),
     FamilySpec("explicit", 7, 7, c=(2, 3), m_max=3),
 ], ids=["quintic", "triplegap", "explicit-m3"])
-def test_real_reports_equal_json_dumps(spec):
+def test_real_reports_equal_json_dumps(tmp_path, spec):
     # the explicit family has no violations: an empty list at the top level
-    report = scan_family(spec)
-    assert report.records and bool(report.violations) == (spec.kind != "explicit")
-    assert report.to_bytes() == _oracle_bytes(report)
+    report, want = _scan_and_oracle(spec, tmp_path / "scan.ndjson")
+    assert _records(report) and bool(report.violations) == (spec.kind != "explicit")
+    assert report.to_bytes() == want
 
 
 # -- the streamed report -------------------------------------------------------
@@ -487,7 +544,7 @@ def _cli_stdout(capsys, *argv) -> str:
     (FamilySpec("quintic", 12, 30), ["--family", "quintic", "--p-range", "12..30"]),
 ], ids=["triplegap", "no-violations", "empty-family"])
 def test_streamed_report_equals_json_dumps(capsys, tmp_path, monkeypatch, spec, argv):
-    want = _oracle_bytes(scan_family(spec)).decode()
+    want = _scan_and_oracle(spec, tmp_path / "library.ndjson")[1].decode()
     ckpt = str(tmp_path / "scan.ndjson")
     fresh = _cli_stdout(capsys, *argv, "--checkpoint", ckpt)
     resumed = _cli_stdout(capsys, *argv, "--checkpoint", ckpt)
@@ -497,7 +554,10 @@ def test_streamed_report_equals_json_dumps(capsys, tmp_path, monkeypatch, spec, 
 @pytest.mark.parametrize("fmt", ["csv", "tsv"])
 def test_streamed_rows_equal_emit_records(capsys, fmt):
     want = io.StringIO()
-    emit_records(list(scan_family(FamilySpec("triplegap", 5, 7)).records), fmt, want)
+    # rows keep point_record's key order, the schema's order of its fields
+    records = [{k: rec[k] for k in RECORD_SCHEMA["required"]}
+               for rec in _records(scan_family(FamilySpec("triplegap", 5, 7)))]
+    emit_records(records, fmt, want)
     got = _cli_stdout(capsys, "--family", "triplegap", "--p-range", "5..7",
                       "--format", fmt)
     assert got == want.getvalue()
@@ -552,11 +612,14 @@ def test_writer_puts_each_record_on_its_stream_at_once():
     buf = io.StringIO()
     writer = ReportWriter(spec, buf)
     assert buf.getvalue().endswith('"records": ')
-    for i, rec in enumerate(scan_family(spec).records):
+    heads = {}  # points with equal head fields share a head, as in a scan
+    for i, rec in enumerate(_records(scan_family(spec))):
+        head = heads.setdefault(json.dumps([rec[k] for k in _HEAD_FIELDS]), _Head(rec))
         before = len(buf.getvalue())
-        writer.write(rec)
+        writer.write_point(head, rec["x"], rec["x_dlog"])
         text = buf.getvalue()[before:]
         assert text[0] == ("," if i else "[") and json.loads(text[1:]) == rec
+    assert len(heads) < i
 
 
 def test_a_streamed_scans_report_refuses_to_render():
@@ -564,11 +627,10 @@ def test_a_streamed_scans_report_refuses_to_render():
     kept = scan_family(spec)
     buf = io.StringIO()
     streamed = scan_family(spec, writer=ReportWriter(spec, buf))
-    assert streamed.records is None and streamed.violations == kept.violations
+    assert streamed.text is None and streamed.violations == kept.violations
     assert buf.getvalue().encode() == kept.to_bytes()
-    for render in (streamed.payload, streamed.to_bytes):
-        with pytest.raises(ValueError, match="records to its writer"):
-            render()
+    with pytest.raises(ValueError, match="records to its writer"):
+        streamed.to_bytes()
 
 
 def test_triple_gap_verdict_reads_only_the_datums_degree_one_violations(monkeypatch):
@@ -617,7 +679,7 @@ def test_checkpoint_lines_written_through_heads_equal_json_dumps(tmp_path, spec,
     path = tmp_path / "scan.ndjson"
     report = scan_family(spec, checkpoint=str(path))
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == len(report.records)
+    assert len(lines) == len(_records(report))
     slow = 0
     for line in lines:
         rec = json.loads(line)
@@ -639,14 +701,15 @@ def test_resume_from_every_other_line_equals_a_fresh_scan(capsys, tmp_path, spec
     lines = ckpt.read_text(encoding="utf-8").splitlines(keepends=True)
     ckpt.write_text("".join(lines[::2]), encoding="utf-8")
     resumed = _cli_stdout(capsys, *argv, "--checkpoint", str(ckpt))
-    assert resumed == fresh == _oracle_bytes(scan_family(spec)).decode()
+    assert resumed == fresh == \
+        _scan_and_oracle(spec, tmp_path / "library.ndjson")[1].decode()
     again = ckpt.read_text(encoding="utf-8").splitlines(keepends=True)
     assert len(again) == len(lines) and set(again) == set(lines)
 
 
 def test_each_head_is_rendered_once(capsys, monkeypatch):
     argv = ["--family", "explicit", "--c", "2,3", "--p-range", "7..7", "--m-max", "5"]
-    records = scan_family(FamilySpec("explicit", 7, 7, c=(2, 3), m_max=5)).records
+    records = _records(scan_family(FamilySpec("explicit", 7, 7, c=(2, 3), m_max=5)))
     heads = {json.dumps({k: r[k] for k in _HEAD_FIELDS}) for r in records}
     assert (len(records), len(heads)) == (4086, 6)
     rendered = []
@@ -658,7 +721,7 @@ def test_each_head_is_rendered_once(capsys, monkeypatch):
 
     monkeypatch.setattr(ReportWriter, "_render", counting)
     out = _cli_stdout(capsys, *argv)
-    assert json.loads(out)["records"] == list(records)
+    assert json.loads(out)["records"] == records
     assert len(rendered) == len(heads)
 
 
