@@ -166,6 +166,38 @@ def _poly_gcd(a, b, p):
     return a
 
 
+def _poly_monic(a, p):
+    """a with its coefficients reduced mod p and divided by its leading one."""
+    a = _poly_trim([ci % p for ci in a])
+    if not a:
+        raise MalformedInput("the zero polynomial has no leading coefficient")
+    inv = pow(a[-1], -1, p)
+    return [ci * inv % p for ci in a]
+
+
+def _x_power_gcd(f, e, p):
+    """gcd(f, X^e - X) over GF(p), monic, for f monic."""
+    xe = _poly_powmod([0, 1], e, f, p)
+    return _poly_monic(_poly_gcd(f, poly_add_mod_p(xe, [0, p - 1], p), p), p)
+
+
+def irreducible_factor_count(coeffs, p: int, d: int) -> int:
+    """Number of distinct monic irreducible factors of degree d over GF(p)
+    of a nonzero polynomial (coefficients low first), by distinct-degree
+    factorization: gcd(f, X^(p^i) - X) is the product of the distinct
+    irreducible factors of f whose degree divides i, so its degree is
+    sum over e | i of e N_e.  Repeated factors count once."""
+    if d < 1:
+        raise MalformedInput(f"factor degree must be >= 1, got {d}")
+    f = _poly_monic(coeffs, p)
+    counts: dict[int, int] = {}
+    for i in range(1, d + 1):
+        if d % i == 0:
+            deg = len(_x_power_gcd(f, p ** i, p)) - 1
+            counts[i] = (deg - sum(e * n for e, n in counts.items() if i % e == 0)) // i
+    return counts[d]
+
+
 def _is_irreducible(f, p):
     """Rabin test: f monic of degree m is irreducible over GF(p) iff
     X^(p^m) = X mod f and gcd(X^(p^(m/l)) - X, f) = 1 for primes l | m."""
@@ -439,6 +471,85 @@ def field_create(p: int, m: int) -> ExtField:
     call, so a lowered limit refuses a field that is already built."""
     _checked_field_size(p, m)
     return _shared_field(p, m)
+
+
+# ---------------------------------------------------------------------------
+# roots in GF(p^m) of polynomials over GF(p)
+# ---------------------------------------------------------------------------
+
+def _fpoly_divmod(a, f, field: ExtField):
+    """Quotient and remainder of a by a monic f, over the field."""
+    rem, df = list(a), len(f) - 1
+    quot = [0] * max(len(a) - df, 0)
+    for shift in range(len(a) - 1 - df, -1, -1):
+        lead = rem.pop()
+        if lead:
+            quot[shift] = lead
+            for i in range(df):
+                rem[shift + i] = field.sub(rem[shift + i], field.mul(lead, f[i]))
+    return quot, _poly_trim(rem)
+
+
+def _fpoly_mulmod(a, b, f, field: ExtField):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = field.add(out[i + j], field.mul(ai, bj))
+    return _fpoly_divmod(out, f, field)[1]
+
+
+def _fpoly_gcd(a, b, field: ExtField):
+    """Monic gcd over the field; b must be nonzero."""
+    while b:
+        inv = field.inv(b[-1])
+        b = [field.mul(ci, inv) for ci in b]
+        a, b = b, _fpoly_divmod(a, b, field)[1]
+    return a
+
+
+def _split_roots(h, field: ExtField, out: set):
+    """Add to out the roots of h, monic with distinct roots all in the field.
+
+    Cantor-Zassenhaus: r + d is a nonzero square exactly at the roots r of
+    gcd(h, (X + d)^((q-1)/2) - 1), which for two distinct roots holds at one
+    and fails at the other for about half of all d.  d is taken in the
+    field's encoding order, so the split is deterministic."""
+    if len(h) == 2:
+        out.add(field.neg(h[0]))
+        return
+    half = (field.q - 1) // 2
+    for d in range(field.q):
+        w, cur, e = [1], [d, 1], half
+        while e:
+            if e & 1:
+                w = _fpoly_mulmod(w, cur, h, field)
+            cur = _fpoly_mulmod(cur, cur, h, field)
+            e >>= 1
+        w = _poly_trim([field.sub(w[0] if w else 0, 1), *w[1:]])
+        g = _fpoly_gcd(h, w, field) if w else h
+        if 1 < len(g) < len(h):
+            _split_roots(g, field, out)
+            _split_roots(_fpoly_divmod(h, g, field)[0], field, out)
+            return
+    raise AssertionError("no element splits the polynomial")  # pragma: no cover
+
+
+def roots_in_field(field: ExtField, coeffs) -> frozenset[int]:
+    """Every root in GF(p^m) of a nonzero polynomial with GF(p) coefficients
+    (low first), p odd.
+
+    The roots are those of h = gcd(u, X^(p^m) - X), u made monic; h is
+    computed over GF(p), has distinct roots, all in GF(p^m), and is split
+    into linear factors over GF(p^m) (_split_roots).  A GF(p) coefficient
+    is its own encoding in GF(p^m)."""
+    if field.p == 2:
+        raise MalformedInput("root splitting needs an odd characteristic")
+    out: set[int] = set()
+    h = _x_power_gcd(_poly_monic(coeffs, field.p), field.q, field.p)
+    if len(h) > 1:
+        _split_roots(h, field, out)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

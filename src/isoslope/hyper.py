@@ -20,6 +20,14 @@ pairs, from the reciprocal-root symmetry gamma -> q^(n-1)/gamma, which
 gives v(b_{n-r}) = v(b'_r) + m(n(n-1)/2 - r(n-1)) against the dual datum
 c' = (p-1-c_i).
 
+The degenerate points, where the mod-p polynomial u of the datum or of its
+dual vanishes, are the only points where a rank n <= 3 slope vector can
+leave the generic (n-1, .., 0).  slopes_at_point tests one point by
+evaluating both polynomials there; degenerate_points finds all of them over
+GF(p^m) at once by factoring u (arith.roots_in_field: gcd with
+X^(p^m) - X over GF(p), then Cantor-Zassenhaus splitting), and checks their
+number against a distinct-degree factorization over GF(p).
+
 Everything is exact: residues mod p^N with explicit precision, Fractions
 downstream.  A residue that vanishes at working precision enters the hull
 as a censored bound and can only certify, never shape, the polygon, so
@@ -41,8 +49,10 @@ from .arith import (
     Valuation,
     embed_generator_dlog,
     field_create,
+    irreducible_factor_count,
     is_prime,
     norm,
+    roots_in_field,
     table_limit_from_env,
     teichmuller_table,
 )
@@ -60,6 +70,11 @@ from .gauss import raw_trace
 from .polygon import HullPoint, SlopeVector, lower_hull, slopes_descending
 
 STRATEGIES = ("full", "det", "selfdual", "dualpair")
+
+# the largest rank at which a point where neither u nor the dual's u vanishes
+# has the generic slope vector (n-1, .., 0), so slopes_at_point does no
+# p-adic work there
+FAST_PATH_MAX_RANK = 3
 
 
 @dataclass(frozen=True)
@@ -125,6 +140,35 @@ def unit_root_eval(datum: HypergeometricDatum, point: "PointSpec") -> int:
     when the bottom slope is positive."""
     field = point.field
     return norm(field, field.eval_poly(unit_root_poly(datum), point.x))
+
+
+def degenerate_points(datum: HypergeometricDatum, field: ExtField) -> frozenset[int]:
+    """The closed points of exact degree m = field.m where u or the dual's u
+    vanishes, each as its representative x (smallest dlog in its Frobenius
+    orbit, as closed_points gives it); 0 and 1 are never points.  At every
+    other point slopes_at_point takes the generic fast path (rank <=
+    FAST_PATH_MAX_RANK).
+
+    The roots come from factoring each polynomial (arith.roots_in_field), not
+    from evaluating it at every point.  For u and for the dual's u, the
+    exact-degree-m roots must number m times the polynomial's degree-m
+    irreducible factors over GF(p), a count that depends on no field."""
+    if field.p != datum.p:
+        raise DatumMismatch(
+            f"field GF({field.p}^{field.m}) does not match the datum's p = {datum.p}"
+        )
+    m, out = field.m, set()
+    for d in (datum, dual_datum(datum)):
+        u = unit_root_poly(d)
+        orbits = [orbit for orbit in map(field.frobenius_orbit, roots_in_field(field, u))
+                  if len(orbit) == m]
+        if len(orbits) != m * irreducible_factor_count(u, d.p, m):
+            raise AssertionError(
+                f"{len(orbits)} roots of exact degree {m} for c = {d.c}, against "
+                f"{m} times its degree-{m} irreducible factors over GF({d.p})"
+            )
+        out.update(min(orbit, key=field.dlog.__getitem__) for orbit in orbits)
+    return frozenset(out - {0, 1})
 
 
 def _binom_lucas(a: int, b: int, p: int) -> int:
@@ -552,14 +596,16 @@ def slopes_at_point(datum: HypergeometricDatum, point: PointSpec,
                     precision: int | None = None) -> SlopeReport:
     """Slope vector at one closed point.
 
-    Generic fast path, automatic strategy only: for n <= 3, when neither the
-    datum's nor the dual's degeneracy polynomial vanishes at x, the vector is
-    forced to (n-1, .., 1, 0) with no p-adic work.  An explicitly named
-    strategy is validated and run even where the shortcut would apply, so a
-    request like selfdual on a non-self-dual datum refuses instead of
-    answering by accident.  Every report meets _check_slopes: a fast-path
-    report is the per-rank profile, checked when it is built, and any
-    other report is checked on every call.
+    Generic fast path, automatic strategy only: for n <= FAST_PATH_MAX_RANK
+    (3), when neither the datum's nor the dual's degeneracy polynomial
+    vanishes at x, the vector is forced to (n-1, .., 1, 0) with no p-adic
+    work.  This is the one definition of the fast path; a scan finds the
+    points off it with degenerate_points and checks them here.  An
+    explicitly named strategy is validated and run even where the shortcut
+    would apply, so a request like selfdual on a non-self-dual datum
+    refuses instead of answering by accident.  Every report meets
+    _check_slopes: a fast-path report is the per-rank profile, checked when
+    it is built, and any other report is checked on every call.
 
     Precision: an explicit precision is tried once.  Without one, the
     coefficients are computed at start_precision and, each time the hull
@@ -581,7 +627,8 @@ def slopes_at_point(datum: HypergeometricDatum, point: PointSpec,
     degenerate = unit_root_eval(datum, point) == 0
     dual_degenerate = unit_root_eval(dual_datum(datum), point) == 0
 
-    if strategy == "auto" and n <= 3 and not degenerate and not dual_degenerate:
+    if strategy == "auto" and n <= FAST_PATH_MAX_RANK and not degenerate \
+            and not dual_degenerate:
         return SlopeReport(datum, point, *_generic_profile(n))
 
     m = point.field.m

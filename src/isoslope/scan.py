@@ -14,12 +14,17 @@ report bytes are the same whether the records were computed fresh or served
 from the checkpoint.  Timing never enters the report payload for that
 reason.
 
+At rank n <= 3 a scan does p-adic work only at the degenerate points, the
+roots of the mod-p polynomial u of the datum or of its dual, found per
+(datum, degree) by factoring u; every other point has the generic slope
+vector and shares one record head per degree.
+
 A point record is written as a head plus a point.  The head holds the 13
 fields fixed by the datum, the degree and the slope outcome; the point holds
-x and x_dlog, which sort after every other key.  Most points of a datum take
-the generic fast path and so share one head per degree, so the report and
-the checkpoint render each head's text once and write each point as that
-text followed by its own two fields.
+x and x_dlog, which sort after every other key.  The report and the
+checkpoint render each head's text once and write each point as that text
+followed by its own two fields.  A resume re-checks each distinct head of
+its checkpoint against the invariants its slopes force before serving it.
 """
 
 from __future__ import annotations
@@ -34,11 +39,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import field_create, is_prime
-from .errors import InvalidC3, MalformedInput, NotPrime, PrimeTooSmall
+from .coweight import RootDatum, small_gaps
+from .errors import InvalidC3, IsoslopeError, MalformedInput, NotPrime, PrimeTooSmall
 from .hyper import (
+    FAST_PATH_MAX_RANK,
+    STRATEGIES,
     HypergeometricDatum,
     SlopeReport,
+    _check_slopes,
+    _generic_profile,
+    auto_precision,
     closed_points,
+    degenerate_points,
+    gap_profile,
     slopes_at_point,
 )
 
@@ -194,10 +207,6 @@ def point_record(report: SlopeReport) -> dict:
     }
 
 
-def _record_key(rec: dict) -> tuple:
-    return (rec["p"], tuple(rec["c"]), rec["degree"], rec["x_dlog"])
-
-
 # The fields of a point record and their JSON types, as required by
 # schemas/output_record.schema.json.  Types are matched with type(), so a
 # bool is not an int here and floats and objects match nothing; list fields
@@ -269,6 +278,48 @@ def _head_value(rec: dict) -> tuple:
     records whose heads have equal values write the same head text."""
     return tuple(tuple(v) if type(v) is list else v
                  for v in map(rec.__getitem__, _HEAD_FIELDS))
+
+
+def _check_outcome(p: int, c: tuple, degree: int, slopes: tuple, gaps: tuple,
+                   max_gap: str, violates: bool, degenerate: bool,
+                   dual_degenerate: bool, strategy: str | None,
+                   precision: int | None, fast_path: bool) -> None:
+    """Re-check a checkpoint line's head (its fields after schema_version)
+    against what the mathematics forces, raising AssertionError or an
+    IsoslopeError where it fails:
+    - hyper._check_slopes: slope sum, range, both degeneracy flags, the
+      polygon on or above the generic one;
+    - slopes, gaps, max_gap and violates as rational_str and gap_profile
+      write them from the slopes, and the gaps and the verdict once more
+      from the G-form of the bound, coweight.small_gaps(RootDatum.gl(n), .);
+    - a fast-path head is _generic_profile(n), at a rank that has the fast
+      path; any other names a strategy and a precision from 1 to
+      auto_precision.
+    Of the datum only its rank n reaches a check (auto_precision reads n
+    alone), so a load checks each (n, degree, outcome) once."""
+    datum = HypergeometricDatum(p, c)
+    n = datum.n
+    vals = tuple(map(Fraction, slopes))
+    _check_slopes(n, vals, degenerate, dual_degenerate, fast_path)
+    profile = gap_profile(vals)
+    if (slopes, gaps, max_gap, violates) != (
+            tuple(map(rational_str, vals)), tuple(map(rational_str, profile[0])),
+            rational_str(profile[1]), profile[2]):
+        raise AssertionError("slopes, gaps, max_gap or violates are not as the "
+                             "slopes give them")
+    g_form = small_gaps(RootDatum.gl(n), vals)
+    if g_form.gaps != profile[0] or g_form.satisfied == violates:
+        raise AssertionError("the small-gaps bound disagrees with gaps or violates")
+    if fast_path:
+        generic = _generic_profile(n)
+        if n > FAST_PATH_MAX_RANK or \
+                (vals, *profile, degenerate, dual_degenerate, strategy, precision,
+                 fast_path) != (tuple(generic[0]), *generic[1:]):
+            raise AssertionError("a fast-path head is not the generic one")
+    elif strategy not in STRATEGIES or precision is None or \
+            not 1 <= precision <= auto_precision(datum, degree, strategy):
+        raise AssertionError(f"precision {precision} under strategy {strategy!r} "
+                             f"is not from 1 to auto_precision")
 
 
 @functools.cache
@@ -456,13 +507,16 @@ class _Checkpoint:
     its fields, each of its JSON type, rationals matching the schema's
     pattern) is refused before the file is opened for appending: a record
     of another version may carry a precision_used of another meaning, so it
-    is never mixed in."""
+    is never mixed in.  So is a line whose head breaks an invariant of its
+    slopes (_check_outcome, run once per distinct outcome).  A lie that
+    keeps every invariant is served: only recomputation would find it."""
 
     def __init__(self, path: str | None):
         self._path = path
         self._fh = None
         self._served: dict[tuple, tuple[_Head, int, int]] = {}
         heads: dict[tuple, _Head] = {}
+        checked: set[tuple] = set()
         torn = False
         if path and os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
@@ -481,6 +535,15 @@ class _Checkpoint:
                     value = _head_value(rec)
                     head = heads.get(value)
                     if head is None:
+                        outcome = (len(value[2]), *value[3:])  # (n, degree, ...)
+                        if outcome not in checked:
+                            try:
+                                _check_outcome(*value[1:])
+                            except (AssertionError, IsoslopeError) as exc:
+                                raise MalformedInput(
+                                    f"{path}:{lineno}: checkpoint line breaks an "
+                                    f"invariant of its slopes: {exc}") from exc
+                            checked.add(outcome)
                         head = heads[value] = _Head(rec)
                     # value[1:4] is (p, c, degree), with c as a tuple
                     self._served[(*value[1:4], rec["x_dlog"])] = (head, rec["x"], lineno)
@@ -523,14 +586,23 @@ def scan_family(spec: FamilySpec, checkpoint: str | None = None,
     aggregate a deterministic report from the points of the spec alone.
     Points whose records are already in the checkpoint are not recomputed;
     every new record is appended to it as soon as it exists.  Datums come
-    in (p, c) order and points in (degree, dlog) order, so the records are
-    in _record_key order as they are made.
+    in ascending (p, c) and, within a datum, points in ascending (degree,
+    dlog), so the records come sorted by (p, c, degree, x_dlog).
 
-    Each point's record is a head (see _Head) plus its x and x_dlog.  A
-    fast-path head depends on the datum and the degree alone, so one head
-    table, keyed by degree and cleared at each datum, makes and renders it
-    once; any other point builds a head of its own, kept no longer than the
-    point.  A served point takes the head of its checkpoint line.
+    Each point's record is a head (see _Head) plus its x and x_dlog.  At
+    rank n <= FAST_PATH_MAX_RANK only the datum's degenerate points
+    (hyper.degenerate_points, from factoring u and the dual's u) can leave
+    the generic fast path.  That root set is found once per (datum,
+    degree), when the first point of the degree is not served from the
+    checkpoint, so a full resume finds none.  Every point in it goes through
+    slopes_at_point, which must not take the fast path, and builds a head
+    of its own, kept no longer than the point.  The first point outside it
+    goes through slopes_at_point too, which must take the fast path; its
+    head depends on the datum and the degree alone, so the later points of
+    that degree outside the set reuse it with no call.  So hyper keeps the
+    one definition of the fast path, and the scan checks its root set
+    against it.  At a higher rank every point goes through slopes_at_point.
+    A served point takes the head of its checkpoint line.
 
     Each point is handed to the writer (a ReportWriter, or anything with
     its write_point(head, x, x_dlog) and close(datum_count, violations)) as
@@ -548,26 +620,36 @@ def scan_family(spec: FamilySpec, checkpoint: str | None = None,
         writer = ReportWriter(spec, buf)
     violations: list[dict] = []
     failures: list[tuple[int, int]] = []
-    fast_heads: dict[int, _Head] = {}
     store = _Checkpoint(checkpoint)
     try:
         for datum in datums:
             expected = predicted_violation_points(datum)
             c3 = _triple_gap_c3(datum)
             first = len(violations)
-            fast_heads.clear()
             for degree in range(1, spec.m_max + 1):
-                for pt in closed_points(field_create(datum.p, degree)):
+                field = field_create(datum.p, degree)
+                roots = None  # the datum's degenerate points here, once needed
+                fast_head = None
+                for pt in closed_points(field):
                     x, x_dlog = pt.x, pt.dlog
                     head = store.serve(datum, degree, x, x_dlog)
                     if head is None:
-                        report = slopes_at_point(datum, pt)
-                        if not report.fast_path:
+                        fast = False
+                        if datum.n <= FAST_PATH_MAX_RANK:
+                            if roots is None:
+                                roots = degenerate_points(datum, field)
+                            fast = x not in roots
+                        head = fast_head if fast else None
+                        if head is None:
+                            report = slopes_at_point(datum, pt)
+                            if report.fast_path != fast:
+                                raise AssertionError(
+                                    f"p = {datum.p}, c = {datum.c}, degree {degree}, "
+                                    f"x = {x}: the root set gives fast_path {fast}, "
+                                    f"slopes_at_point {report.fast_path}")
                             head = _Head(point_record(report))
-                        else:
-                            head = fast_heads.get(degree)
-                            if head is None:
-                                head = fast_heads[degree] = _Head(point_record(report))
+                            if fast:
+                                fast_head = head
                         store.add(head, x, x_dlog)
                     writer.write_point(head, x, x_dlog)
                     if head.violates:

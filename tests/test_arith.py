@@ -21,8 +21,10 @@ from isoslope.arith import (
     Valuation,
     embed_element,
     field_create,
+    irreducible_factor_count,
     is_prime,
     norm,
+    roots_in_field,
     teichmuller,
     teichmuller_table,
 )
@@ -309,3 +311,60 @@ def test_embed_element_rejects_bad_pairs():
         embed_element(field_create(3, 2), field_create(3, 3), 1)
     with pytest.raises(FieldMismatch):
         embed_element(field_create(3, 1), field_create(5, 1), 1)
+
+
+# -- roots of GF(p) polynomials in GF(p^m) -------------------------------------
+
+_POLYS = st.tuples(st.sampled_from([(3, 1), (3, 3), (5, 2), (7, 1), (7, 2), (11, 2)]),
+                   st.lists(st.integers(min_value=-30, max_value=30), min_size=1,
+                            max_size=7))
+
+
+def _brute_roots(field, coeffs):
+    coeffs = [c % field.p for c in coeffs]
+    return {x for x in range(field.q) if field.eval_poly(coeffs, x) == 0}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_POLYS)
+def test_roots_in_field_equal_evaluation_at_every_element(case):
+    (p, m), coeffs = case
+    if all(c % p == 0 for c in coeffs):
+        coeffs = coeffs + [1]  # nonzero, and neither monic nor reduced
+    field = field_create(p, m)
+    assert roots_in_field(field, coeffs) == _brute_roots(field, coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_POLYS)
+def test_irreducible_factor_count_equals_the_roots_of_exact_degree(case):
+    # a degree-m irreducible factor has m roots of exact degree m in GF(p^m)
+    (p, m), coeffs = case
+    if all(c % p == 0 for c in coeffs):
+        coeffs = coeffs + [1]
+    field = field_create(p, m)
+    exact = [x for x in _brute_roots(field, coeffs) if field.element_degree(x) == m]
+    assert m * irreducible_factor_count(coeffs, p, m) == len(exact)
+
+
+def test_irreducible_factor_count_frozen_values():
+    # (X - 1)^3 (X^2 + 1) over GF(7): a repeated root at 1 counts once, and
+    # X^2 + 1 is irreducible since -1 is a nonsquare mod 7
+    f = [6, 3, 3, 4, 4, 1]  # (X^3 - 3X^2 + 3X - 1)(X^2 + 1) mod 7
+    assert [irreducible_factor_count(f, 7, d) for d in (1, 2, 3)] == [1, 1, 0]
+    assert roots_in_field(field_create(7, 1), f) == {1}
+    assert len(roots_in_field(field_create(7, 2), f)) == 3
+    # over GF(5), X^2 + 1 = (X - 2)(X - 3)
+    assert irreducible_factor_count([1, 0, 1], 5, 1) == 2
+    assert irreducible_factor_count([1, 0, 1], 5, 2) == 0
+    assert irreducible_factor_count([3], 5, 1) == 0
+    with pytest.raises(MalformedInput):
+        irreducible_factor_count([1, 1], 5, 0)
+
+
+def test_roots_in_field_refusals():
+    with pytest.raises(MalformedInput):
+        roots_in_field(field_create(7, 2), [0, 7, 14])
+    with pytest.raises(MalformedInput):
+        roots_in_field(field_create(2, 3), [1, 1])
+    assert roots_in_field(field_create(7, 2), [5]) == frozenset()

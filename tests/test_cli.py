@@ -494,7 +494,21 @@ def test_scan_triplegap_verdict_reads_the_served_records(capsys, tmp_path):
     # c3 = 1: the one top-gap point, -(2 c3)^(-1) = 2 mod 5, made generic
     (top,) = [r for r in recs if r["c"] == [1, 1, 3] and r["x"] == 2]
     assert Fraction(top["gaps"][0]) > 1
+    lineno = recs.index(top) + 1
+    # generic slopes at a degenerate point (u_c_zero true) break the flag's
+    # invariant: the load refuses the line
     top.update(slopes=["2", "1", "0"], gaps=["1", "1"], max_gap="1", violates=False)
+    assert top["u_c_zero"] or top["u_cdual_zero"]
+    ckpt.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "scan", "--family", "triplegap", "--p-range", "5",
+                         "--checkpoint", str(ckpt))
+    assert code == 64 and out == ""
+    assert f"{ckpt}:{lineno}: checkpoint line breaks an invariant" in err
+    # made the generic fast-path record whole, the lie keeps every invariant
+    # the load checks: it is served, and the verdict reads it
+    top.update(u_c_zero=False, u_cdual_zero=False, strategy=None,
+               precision_used=None, fast_path=True)
     ckpt.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs),
                     encoding="utf-8")
     code, out, err = run(capsys, "scan", "--family", "triplegap", "--p-range", "5",

@@ -19,7 +19,13 @@ from fractions import Fraction
 import pytest
 
 from isoslope import gauss, hyper
-from isoslope.arith import embed_element, field_create, norm, teichmuller_table
+from isoslope.arith import (
+    embed_element,
+    field_create,
+    norm,
+    roots_in_field,
+    teichmuller_table,
+)
 from isoslope.errors import (
     DatumMismatch,
     DegreeTooLarge,
@@ -39,6 +45,7 @@ from isoslope.hyper import (
     auto_precision,
     char_poly_valuations,
     closed_points,
+    degenerate_points,
     dual_datum,
     frobenius_trace,
     gap_profile,
@@ -113,6 +120,59 @@ def test_unit_root_eval_is_a_norm():
 
 
 # -- points ------------------------------------------------------------------
+
+def _degenerate_by_evaluation(datum, field):
+    """The oracle: every closed point where u or the dual's u has norm 0."""
+    dual = dual_datum(datum)
+    return {pt.x for pt in closed_points(field)
+            if unit_root_eval(datum, pt) == 0 or unit_root_eval(dual, pt) == 0}
+
+
+def _small_datums():
+    for p in (3, 5, 7):
+        for n in (1, 2, 3):
+            for c in itertools.combinations_with_replacement(range(1, p - 1), n):
+                yield HypergeometricDatum(p, c)
+
+
+@pytest.mark.parametrize("cases", [
+    [(d, m) for d in _small_datums() for m in (1, 2, 3)],
+    [(HypergeometricDatum(p, (1, p - 2, c3)), m) for p in (5, 7, 11, 13)
+     for c3 in range(1, p - 1) if 2 * c3 != p - 1 for m in (1, 2)],
+    [(HypergeometricDatum(7, (2, 3)), m) for m in range(1, 7)],
+], ids=["rank-1-3-p-le-7-m-le-3", "triplegap-p-le-13-m-le-2", "7-(2,3)-m-le-6"])
+def test_degenerate_points_equal_per_point_evaluation(cases):
+    found = 0
+    for datum, m in cases:
+        field = field_create(datum.p, m)
+        got = degenerate_points(datum, field)
+        assert got == _degenerate_by_evaluation(datum, field), (datum, m)
+        found += len(got)
+    assert found
+
+
+def test_degenerate_points_with_a_repeated_factor_and_the_root_one():
+    # rank 1: u = (1 - X)^c, a repeated factor whose one root is x = 1,
+    # which the count includes and the point set leaves out
+    datum = HypergeometricDatum(7, (3,))
+    assert unit_root_poly(datum) == (1, 4, 3, 6)  # (1 - X)^3 mod 7
+    field = field_create(7, 1)
+    assert roots_in_field(field, unit_root_poly(datum)) == {1}
+    assert degenerate_points(datum, field) == frozenset()
+
+
+def test_degenerate_points_assert_the_factor_count(monkeypatch):
+    datum, field = HypergeometricDatum(7, (2, 3)), field_create(7, 2)
+    assert degenerate_points(datum, field) == {20}
+    real = hyper.roots_in_field
+    # losing a root of exact degree 2 breaks the count of degree-2 factors
+    monkeypatch.setattr(hyper, "roots_in_field",
+                        lambda fld, u: frozenset(sorted(real(fld, u))[1:]))
+    with pytest.raises(AssertionError, match="irreducible factors"):
+        degenerate_points(datum, field)
+    with pytest.raises(DatumMismatch):
+        degenerate_points(datum, field_create(5, 1))
+
 
 def test_point_spec_validation():
     f = field_create(7, 1)

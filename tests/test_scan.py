@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from isoslope.arith import field_create
 from isoslope.cli import emit_records, main
 from isoslope.errors import InvalidC3, MalformedInput, NotPrime, PrimeTooSmall
+from isoslope import scan as scan_module
 from isoslope.hyper import HypergeometricDatum, closed_points, point_spec, slopes_at_point
 from isoslope.scan import (
     SCHEMA_VERSION,
@@ -36,9 +37,9 @@ from isoslope.scan import (
     _RECORD_TYPES,
     _Checkpoint,
     _Head,
+    _check_outcome,
     _head_fields,
     _is_point_record,
-    _record_key,
     FamilySpec,
     ReportWriter,
     family_members,
@@ -61,6 +62,12 @@ def validate_record(rec):
 def _records(report) -> list[dict]:
     """The point records of a scan's report, read back from its text."""
     return json.loads(report.to_bytes())["records"]
+
+
+def _record_key(rec: dict) -> tuple:
+    """The order a scan makes its records in: datums by (p, c), then points
+    by (degree, dlog)."""
+    return (rec["p"], tuple(rec["c"]), rec["degree"], rec["x_dlog"])
 
 
 # -- family membership -------------------------------------------------------
@@ -245,6 +252,8 @@ def test_checkpoint_resume_serves_cached_records(tmp_path, monkeypatch):
         raise AssertionError("resume must not recompute finished points")
 
     monkeypatch.setattr("isoslope.scan.slopes_at_point", boom)
+    # nor find any root set: it is computed only for a point not served
+    monkeypatch.setattr("isoslope.scan.degenerate_points", boom)
     second = scan_family(spec, checkpoint=path)
     assert second.to_bytes() == first.to_bytes()
 
@@ -590,19 +599,27 @@ def test_scan_failing_after_some_points_writes_nothing(capsys, tmp_path, monkeyp
 def test_scan_refused_after_its_degree_one_points_prints_only_the_error(capsys,
                                                                          monkeypatch):
     # GF(7^2) has 49 elements: the degree-1 points are written, then the
-    # degree-2 field is refused
+    # degree-2 field is refused.  No degree-1 point is degenerate, so only
+    # the first one is computed; the others reuse its head
     monkeypatch.setenv("ISOSLOPE_TABLE_LIMIT", "48")
-    computed = []
+    computed, written = [], []
 
     def counting(datum, point):
         computed.append(point)
         return slopes_at_point(datum, point)
 
+    real_write = ReportWriter.write_point
+
+    def writing(self, head, x, x_dlog):
+        written.append(x)
+        return real_write(self, head, x, x_dlog)
+
     monkeypatch.setattr("isoslope.scan.slopes_at_point", counting)
+    monkeypatch.setattr(ReportWriter, "write_point", writing)
     code = main(["scan", "--family", "explicit", "--c", "2,3", "--p-range", "7..7",
                  "--m-max", "2"])
     out = capsys.readouterr().out
-    assert code == 2 and len(computed) == 5
+    assert code == 2 and len(computed) == 1 and sorted(written) == [2, 3, 4, 5, 6]
     (line,) = out.splitlines(keepends=True)
     assert json.loads(line)["error"]["type"] == "DegreeTooLarge"
 
@@ -742,3 +759,117 @@ def test_checkpoint_load_keeps_heads_not_records(tmp_path):
     assert len(store._served) == lines
     assert len({id(head) for head, _, _ in store._served.values()}) == 720
     assert peak < 600 * lines
+
+
+def test_checkpoint_load_checks_each_outcome_once(tmp_path, monkeypatch):
+    # the 720 heads of the triple-gap sweep have 3 distinct outcomes: the
+    # generic one and the two degenerate ones, each at its own precision
+    path = tmp_path / "scan.ndjson"
+    scan_family(FamilySpec("triplegap", 5, 43), checkpoint=str(path))
+    checked = []
+    real = scan_module._check_outcome
+
+    def counting(*head):
+        checked.append(head)
+        return real(*head)
+
+    monkeypatch.setattr(scan_module, "_check_outcome", counting)
+    _Checkpoint(str(path)).close()
+    assert len(checked) == 3
+
+
+# -- served lines re-checked at load, and the root set -------------------------
+
+def _first(kind):
+    return lambda rec: rec["fast_path"] is (kind == "fast")
+
+
+# edits that keep a line a point record of the schema but break what its
+# slopes force; the degenerate line is (2, 1/2, 1/2) with u_c_zero true
+_BROKEN_OUTCOMES = {
+    "slope-count": ("slow", dict(slopes=["3", "-2"], gaps=["5"], max_gap="5")),
+    "slope-sum": ("slow", dict(slopes=["2", "1", "1/2"], gaps=["1", "1/2"], max_gap="1",
+                               violates=False)),
+    "flag": ("slow", dict(u_c_zero=False)),
+    "dual-flag": ("slow", dict(u_cdual_zero=True)),
+    "gaps": ("slow", dict(gaps=["1", "1/2"])),
+    "max-gap": ("slow", dict(max_gap="1")),
+    "violates": ("slow", dict(violates=False)),
+    "non-canonical-slope": ("slow", dict(slopes=["4/2", "1/2", "1/2"])),
+    "precision-over-ceiling": ("slow", dict(precision_used=99)),
+    "precision-zero": ("slow", dict(precision_used=0)),
+    "no-precision": ("slow", dict(precision_used=None)),
+    "no-strategy": ("slow", dict(strategy=None)),
+    "unknown-strategy": ("slow", dict(strategy="fast")),
+    "degenerate-on-the-fast-path": ("slow", dict(fast_path=True)),
+    "fast-path-with-a-precision": ("fast", dict(precision_used=2)),
+    "fast-path-with-a-strategy": ("fast", dict(strategy="dualpair")),
+    "fast-path-off-the-generic-slopes": ("fast", dict(slopes=["3/2", "3/2", "0"],
+                                                      gaps=["0", "3/2"],
+                                                      max_gap="3/2", violates=True)),
+    "p-not-prime": ("fast", dict(p=9)),
+}
+
+
+@pytest.mark.parametrize("kind, edit", _BROKEN_OUTCOMES.values(), ids=_BROKEN_OUTCOMES.keys())
+def test_checkpoint_line_breaking_its_slopes_is_refused(tmp_path, kind, edit):
+    spec = FamilySpec("triplegap", 5, 5)
+    path = tmp_path / "scan.ndjson"
+    scan_family(spec, checkpoint=str(path))
+    recs = [json.loads(ln) for ln in path.read_text(encoding="utf-8").splitlines()]
+    index = next(i for i, rec in enumerate(recs) if _first(kind)(rec))
+    recs[index].update(edit)
+    assert _is_point_record(recs[index])
+    body = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in recs)
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(MalformedInput, match=re.escape(
+            f"{path}:{index + 1}: checkpoint line breaks an invariant of its slopes")):
+        scan_family(spec, checkpoint=str(path))
+    assert path.read_text(encoding="utf-8") == body
+
+
+def test_a_generic_line_off_the_fast_path_is_served(tmp_path):
+    # the same slopes computed p-adically: consistent, so the load keeps it
+    spec = FamilySpec("triplegap", 5, 5)
+    path = tmp_path / "scan.ndjson"
+    fresh = scan_family(spec, checkpoint=str(path))
+    recs = [json.loads(ln) for ln in path.read_text(encoding="utf-8").splitlines()]
+    rec = next(r for r in recs if r["fast_path"])
+    rec.update(strategy="dualpair", precision_used=2, fast_path=False)
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs),
+                    encoding="utf-8")
+    resumed = scan_family(spec, checkpoint=str(path))
+    assert resumed.to_bytes() != fresh.to_bytes()
+    assert b'"fast_path": false' in resumed.to_bytes()
+
+
+def test_a_fast_path_head_above_the_fast_path_rank_is_refused():
+    generic = ("3", "2", "1", "0"), ("1", "1", "1"), "1", False, False, False
+    _check_outcome(13, (1, 2, 3, 4), 1, *generic, "dualpair", 4, False)
+    with pytest.raises(AssertionError, match="not the generic one"):
+        _check_outcome(13, (1, 2, 3, 4), 1, *generic, None, None, True)
+
+
+def test_highdeg_scan_computes_one_point_per_degree_and_the_root(capsys, monkeypatch):
+    computed = []
+
+    def counting(datum, point):
+        computed.append(point)
+        return slopes_at_point(datum, point)
+
+    monkeypatch.setattr("isoslope.scan.slopes_at_point", counting)
+    out = _cli_stdout(capsys, "--family", "explicit", "--c", "2,3", "--p-range", "7..7",
+                      "--m-max", "6")
+    assert json.loads(out)["summary"]["points"] == 23630
+    # one fast-path point per degree, plus x = 20 in GF(7^2)
+    assert len(computed) <= 7
+    assert [(pt.degree, pt.x) for pt in computed if pt.degree == 2][1:] == [(2, 20)]
+
+
+@pytest.mark.parametrize("lie", ["none", "all"])
+def test_scan_refuses_a_root_set_that_disagrees_with_the_fast_path(monkeypatch, lie):
+    monkeypatch.setattr(
+        "isoslope.scan.degenerate_points",
+        lambda datum, field: frozenset(range(field.q)) if lie == "all" else frozenset())
+    with pytest.raises(AssertionError, match="fast_path"):
+        scan_family(FamilySpec("triplegap", 5, 5))
