@@ -23,8 +23,9 @@ A point record is written as a head plus a point.  The head holds the 13
 fields fixed by the datum, the degree and the slope outcome; the point holds
 x and x_dlog, which sort after every other key.  The report and the
 checkpoint render each head's text once and write each point as that text
-followed by its own two fields.  A resume re-checks each distinct head of
-its checkpoint against the invariants its slopes force before serving it.
+followed by its own two fields.  A resume parses and checks each distinct
+head text of its checkpoint once, against the invariants its slopes force,
+before serving it; a later line with that text costs a lookup.
 """
 
 from __future__ import annotations
@@ -230,6 +231,8 @@ _RECORD_TYPES = {
 }
 _RECORD_ITEM_TYPES = {"c": int, "slopes": str, "gaps": str}
 _MISSING = object()
+# the point that _Checkpoint.add writes after a head's line: x, x_dlog, "}"
+_POINT_TAIL = re.compile(r'(0|[1-9][0-9]*), "x_dlog": (0|[1-9][0-9]*)\}')
 # the schema's pattern for the exact rationals of slopes, gaps and max_gap
 _RATIONAL = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 
@@ -500,7 +503,18 @@ class _Checkpoint:
     rather than a record per line.  serve() refuses a line whose x is not
     the element at its x_dlog, naming it as path:line.
 
-    A torn or unparseable line from an interrupted run is dropped on load,
+    The load reads a line the way add() writes it: a head text, then x and
+    x_dlog as plain integers.  The first line of each distinct head text
+    is parsed and checked in full; a later line with that text costs a
+    lookup and two int() calls.  That is exact, since JSON lets the last
+    key win: the text followed by any x and x_dlog is the same record but
+    for those two fields, so it passes or fails every check as the first
+    line did.  A line whose point is written any other way is parsed on
+    its own.
+
+    A torn, undecodable or unparseable line from an interrupted run is
+    dropped on load (bytes that are not UTF-8 are read as U+FFFD, which
+    can only stand inside a string, and every string field is checked),
     and a torn final line is ended with a newline when the file is opened
     for appending, so new records start on a line of their own.  A line
     that parses but is not a point record of this schema version (exactly
@@ -515,42 +529,69 @@ class _Checkpoint:
         self._path = path
         self._fh = None
         self._served: dict[tuple, tuple[_Head, int, int]] = {}
+        # per head text: (head, (p, c, degree)) of its first line, or None
+        # if that line did not parse
+        by_text: dict[str, tuple[_Head, tuple] | None] = {}
         heads: dict[tuple, _Head] = {}
         checked: set[tuple] = set()
         torn = False
         if path and os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8", errors="replace") as fh:
                 for lineno, line in enumerate(fh, 1):
                     torn = not line.endswith("\n")
                     line = line.strip()
                     if not line:
                         continue
-                    try:
-                        rec = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue
-                    if not _is_point_record(rec):
-                        raise MalformedInput(
-                            f"{path}:{lineno}: checkpoint line is not a point record")
-                    value = _head_value(rec)
-                    head = heads.get(value)
-                    if head is None:
-                        outcome = (len(value[2]), *value[3:])  # (n, degree, ...)
-                        if outcome not in checked:
-                            try:
-                                _check_outcome(*value[1:])
-                            except (AssertionError, IsoslopeError) as exc:
-                                raise MalformedInput(
-                                    f"{path}:{lineno}: checkpoint line breaks an "
-                                    f"invariant of its slopes: {exc}") from exc
-                            checked.add(outcome)
-                        head = heads[value] = _Head(rec)
-                    # value[1:4] is (p, c, degree), with c as a tuple
-                    self._served[(*value[1:4], rec["x_dlog"])] = (head, rec["x"], lineno)
+                    text, _, tail = line.rpartition(', "x": ')
+                    point = _POINT_TAIL.fullmatch(tail)
+                    if point is None:
+                        parsed = self._parse(line, lineno, heads, checked)
+                        if parsed is None:
+                            continue
+                        head, where, x, x_dlog = parsed
+                    else:
+                        entry = by_text.get(text, _MISSING)
+                        if entry is _MISSING:
+                            parsed = self._parse(line, lineno, heads, checked)
+                            entry = by_text[text] = parsed and parsed[:2]
+                        if entry is None:
+                            continue
+                        head, where = entry
+                        x, x_dlog = int(point[1]), int(point[2])
+                    self._served[(*where, x_dlog)] = (head, x, lineno)
         if path:
             self._fh = open(path, "a", encoding="utf-8")
             if torn:
                 self._fh.write("\n")
+
+    def _parse(self, line: str, lineno: int, heads: dict, checked: set):
+        """(head, (p, c, degree), x, x_dlog) of a stripped line, or None if
+        it does not parse; MalformedInput if it is not a point record or its
+        head breaks an invariant of its slopes.  A head equal to one in
+        heads is that head, and an outcome in checked is not checked
+        again."""
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError:
+            return None
+        if not _is_point_record(rec):
+            raise MalformedInput(
+                f"{self._path}:{lineno}: checkpoint line is not a point record")
+        value = _head_value(rec)
+        head = heads.get(value)
+        if head is None:
+            outcome = (len(value[2]), *value[3:])  # (n, degree, ...)
+            if outcome not in checked:
+                try:
+                    _check_outcome(*value[1:])
+                except (AssertionError, IsoslopeError) as exc:
+                    raise MalformedInput(
+                        f"{self._path}:{lineno}: checkpoint line breaks an "
+                        f"invariant of its slopes: {exc}") from exc
+                checked.add(outcome)
+            head = heads[value] = _Head(rec)
+        # value[1:4] is (p, c, degree), with c as a tuple
+        return head, value[1:4], rec["x"], rec["x_dlog"]
 
     def serve(self, datum: HypergeometricDatum, degree: int, x: int,
               x_dlog: int) -> _Head | None:

@@ -10,7 +10,10 @@ Nothing below touches field.exp or field.dlog, so agreement between the two
 paths checks the whole dlog machinery against first principles.
 
 cyclic_convolve_schoolbook is the quadratic loop that
-isoslope.convolution.cyclic_convolve is checked against.
+isoslope.convolution.cyclic_convolve is checked against, and
+checkpoint_served_per_line the line-by-line checkpoint load that
+isoslope.scan._Checkpoint, which parses each distinct head text once, is
+checked against.
 
 This module needs numpy, a test dependency, and so lives with the tests
 rather than in the package.
@@ -19,11 +22,13 @@ rather than in the package.
 from __future__ import annotations
 
 import functools
+import json
 
 import numpy as np
 
 from isoslope.arith import ExtField, teichmuller_table
-from isoslope.errors import DegreeTooLarge, MalformedInput
+from isoslope.errors import DegreeTooLarge, IsoslopeError, MalformedInput
+from isoslope.scan import _Head, _check_outcome, _head_value, _is_point_record
 
 # int64 scatter products must not overflow: modulus^2 < 2^63
 MAX_VECTOR_MODULUS = 3_000_000_000
@@ -176,3 +181,37 @@ def cyclic_convolve_schoolbook(a, b, modulus: int):
                     k -= n
                 out[k] += ai * bj
     return [v % modulus for v in out]
+
+
+def checkpoint_served_per_line(path: str) -> dict[tuple, tuple[dict, int, int]]:
+    """What a checkpoint load serves, by (p, c, degree, x_dlog), each as
+    (head fields, x, line number), from json.loads, _is_point_record and
+    the head checks run on every line; MalformedInput naming path:line
+    where a line is refused.  Torn, undecodable and unparseable lines are
+    dropped."""
+    served = {}
+    checked = set()
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if not _is_point_record(rec):
+                raise MalformedInput(
+                    f"{path}:{lineno}: checkpoint line is not a point record")
+            value = _head_value(rec)
+            outcome = (len(value[2]), *value[3:])
+            if outcome not in checked:
+                try:
+                    _check_outcome(*value[1:])
+                except (AssertionError, IsoslopeError) as exc:
+                    raise MalformedInput(
+                        f"{path}:{lineno}: checkpoint line breaks an "
+                        f"invariant of its slopes: {exc}") from exc
+                checked.add(outcome)
+            served[(*value[1:4], rec["x_dlog"])] = (_Head(rec).fields, rec["x"], lineno)
+    return served
