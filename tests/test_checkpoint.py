@@ -257,7 +257,6 @@ def test_a_scan_killed_after_k_lines_resumes_to_the_same_report(tmp_path, triple
         while child.poll() is None and time.monotonic() < deadline and \
                 (not ckpt.exists() or ckpt.read_bytes().count(b"\n") < k):
             time.sleep(0.001)
-        child.send_signal(signal.SIGKILL)
     finally:
         child.kill()
         child.wait()
