@@ -57,6 +57,7 @@ from .hyper import (
     auto_precision,
     char_poly_valuations,
     closed_points,
+    degeneracy_loci,
     degenerate_points,
     dual_datum,
     frobenius_trace,

@@ -176,7 +176,9 @@ def _poly_monic(a, p):
 
 
 def _x_power_gcd(f, e, p):
-    """gcd(f, X^e - X) over GF(p), monic, for f monic."""
+    """gcd(f, X^e - X) over GF(p), monic, for f monic and e a power of p."""
+    if len(f) <= 2:  # 1, or X - r with r in GF(p), where r^e = r
+        return f
     xe = _poly_powmod([0, 1], e, f, p)
     return _poly_monic(_poly_gcd(f, poly_add_mod_p(xe, [0, p - 1], p), p), p)
 

@@ -23,10 +23,11 @@ c' = (p-1-c_i).
 The degenerate points, where the mod-p polynomial u of the datum or of its
 dual vanishes, are the only points where a rank n <= 3 slope vector can
 leave the generic (n-1, .., 0).  slopes_at_point tests one point by
-evaluating both polynomials there; degenerate_points finds all of them over
-GF(p^m) at once by factoring u (arith.roots_in_field: gcd with
-X^(p^m) - X over GF(p), then Cantor-Zassenhaus splitting), and checks their
-number against a distinct-degree factorization over GF(p).
+evaluating both polynomials there; degeneracy_loci finds all of them over
+GF(p^m) at once, the roots of u and of the dual's u apart, by factoring
+them (arith.roots_in_field: gcd with X^(p^m) - X over GF(p), then
+Cantor-Zassenhaus splitting), and checks their number against a
+distinct-degree factorization over GF(p).
 
 Everything is exact: residues mod p^N with explicit precision, Fractions
 downstream.  A residue that vanishes at working precision enters the hull
@@ -142,12 +143,13 @@ def unit_root_eval(datum: HypergeometricDatum, point: "PointSpec") -> int:
     return norm(field, field.eval_poly(unit_root_poly(datum), point.x))
 
 
-def degenerate_points(datum: HypergeometricDatum, field: ExtField) -> frozenset[int]:
-    """The closed points of exact degree m = field.m where u or the dual's u
-    vanishes, each as its representative x (smallest dlog in its Frobenius
-    orbit, as closed_points gives it); 0 and 1 are never points.  At every
-    other point slopes_at_point takes the generic fast path (rank <=
-    FAST_PATH_MAX_RANK).
+def degeneracy_loci(datum: HypergeometricDatum,
+                    field: ExtField) -> tuple[frozenset[int], frozenset[int]]:
+    """The closed points of exact degree m = field.m where u vanishes, and
+    those where the dual's u vanishes: the points whose u_c_zero and
+    u_cdual_zero are true.  Each point is its representative x (smallest
+    dlog in its Frobenius orbit, as closed_points gives it); 0 and 1 are
+    never points.
 
     The roots come from factoring each polynomial (arith.roots_in_field), not
     from evaluating it at every point.  For u and for the dual's u, the
@@ -157,7 +159,7 @@ def degenerate_points(datum: HypergeometricDatum, field: ExtField) -> frozenset[
         raise DatumMismatch(
             f"field GF({field.p}^{field.m}) does not match the datum's p = {datum.p}"
         )
-    m, out = field.m, set()
+    m, loci = field.m, []
     for d in (datum, dual_datum(datum)):
         u = unit_root_poly(d)
         orbits = [orbit for orbit in map(field.frobenius_orbit, roots_in_field(field, u))
@@ -167,8 +169,18 @@ def degenerate_points(datum: HypergeometricDatum, field: ExtField) -> frozenset[
                 f"{len(orbits)} roots of exact degree {m} for c = {d.c}, against "
                 f"{m} times its degree-{m} irreducible factors over GF({d.p})"
             )
-        out.update(min(orbit, key=field.dlog.__getitem__) for orbit in orbits)
-    return frozenset(out - {0, 1})
+        loci.append(frozenset(min(orbit, key=field.dlog.__getitem__)
+                              for orbit in orbits) - {0, 1})
+    return loci[0], loci[1]
+
+
+def degenerate_points(datum: HypergeometricDatum, field: ExtField) -> frozenset[int]:
+    """The closed points of exact degree m = field.m where u or the dual's u
+    vanishes (the union of degeneracy_loci).  At every other point
+    slopes_at_point takes the generic fast path (rank <=
+    FAST_PATH_MAX_RANK)."""
+    degenerate, dual_degenerate = degeneracy_loci(datum, field)
+    return degenerate | dual_degenerate
 
 
 def _binom_lucas(a: int, b: int, p: int) -> int:

@@ -9,23 +9,22 @@ a top-gap violation at -(2 c3)^(-1) and a bottom-gap violation at
 points as expected and anything else as a discovery.
 
 Scans run serially and are resumable (append-only newline-delimited JSON
-checkpoint, one record per closed point) and deterministic: the aggregated
-report bytes are the same whether the records were computed fresh or served
-from the checkpoint.  Timing never enters the report payload for that
-reason.
+checkpoint, one record per point that did p-adic work) and deterministic:
+the aggregated report bytes are the same whether the records were computed
+fresh or served from the checkpoint.  Timing never enters the report
+payload for that reason.
 
 At rank n <= 3 a scan does p-adic work only at the degenerate points, the
 roots of the mod-p polynomial u of the datum or of its dual, found per
 (datum, degree) by factoring u; every other point has the generic slope
-vector and shares one record head per degree.
+vector, shares one record head per degree and never enters the checkpoint.
 
 A point record is written as a head plus a point.  The head holds the 13
 fields fixed by the datum, the degree and the slope outcome; the point holds
 x and x_dlog, which sort after every other key.  The report and the
 checkpoint render each head's text once and write each point as that text
-followed by its own two fields.  A resume parses and checks each distinct
-head text of its checkpoint once, against the invariants its slopes force,
-before serving it; a later line with that text costs a lookup.
+followed by its own two fields.  A resume parses each checkpoint line and
+checks it against the invariants its slopes force before serving it.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from .hyper import (
     _generic_profile,
     auto_precision,
     closed_points,
-    degenerate_points,
+    degeneracy_loci,
     gap_profile,
     slopes_at_point,
 )
@@ -231,8 +230,6 @@ _RECORD_TYPES = {
 }
 _RECORD_ITEM_TYPES = {"c": int, "slopes": str, "gaps": str}
 _MISSING = object()
-# the point that _Checkpoint.add writes after a head's line: x, x_dlog, "}"
-_POINT_TAIL = re.compile(r'(0|[1-9][0-9]*), "x_dlog": (0|[1-9][0-9]*)\}')
 # the schema's pattern for the exact rationals of slopes, gaps and max_gap
 _RATIONAL = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 
@@ -492,46 +489,38 @@ class CounterexampleReport:
 
 
 class _Checkpoint:
-    """Append-only NDJSON store of point records, one per line, each the
-    text of json.dumps(record, sort_keys=True).  A record is written as its
-    head's sorted text, made once per head and kept on it, followed by x
-    and x_dlog, which sort last; each line is flushed as it is written.
+    """Append-only NDJSON store of the point records that did p-adic work,
+    one per line, each the text of json.dumps(record, sort_keys=True).  A
+    record is written as its head's sorted text, made once per head and
+    kept on it, followed by x and x_dlog, which sort last; each line is
+    flushed as it is written.
 
     The lines loaded from it are served by (p, c, degree, x_dlog), each as
     (head, x, line number): lines whose head fields are equal share one
-    head, so a resume holds a handful of heads and three numbers per line
+    head, so a resume holds its distinct heads and three numbers per line
     rather than a record per line.  serve() refuses a line whose x is not
-    the element at its x_dlog, naming it as path:line.
-
-    The load reads a line the way add() writes it: a head text, then x and
-    x_dlog as plain integers.  The first line of each distinct head text
-    is parsed and checked in full; a later line with that text costs a
-    lookup and two int() calls.  That is exact, since JSON lets the last
-    key win: the text followed by any x and x_dlog is the same record but
-    for those two fields, so it passes or fails every check as the first
-    line did.  A line whose point is written any other way is parsed on
-    its own.
+    the element at its x_dlog, or whose degeneracy flags are not those the
+    root sets give its point, naming it as path:line.
 
     A torn, undecodable or unparseable line from an interrupted run is
     dropped on load (bytes that are not UTF-8 are read as U+FFFD, which
-    can only stand inside a string, and every string field is checked),
-    and a torn final line is ended with a newline when the file is opened
-    for appending, so new records start on a line of their own.  A line
-    that parses but is not a point record of this schema version (exactly
-    its fields, each of its JSON type, rationals matching the schema's
-    pattern) is refused before the file is opened for appending: a record
-    of another version may carry a precision_used of another meaning, so it
-    is never mixed in.  So is a line whose head breaks an invariant of its
-    slopes (_check_outcome, run once per distinct outcome).  A lie that
-    keeps every invariant is served: only recomputation would find it."""
+    can only stand inside a string, and every string field is checked; an
+    integer past Python's digit limit does not parse), and a torn final
+    line is ended with a newline when the file is opened for appending, so
+    new records start on a line of their own.  A line that parses but is
+    not a point record of this schema version (exactly its fields, each of
+    its JSON type, rationals matching the schema's pattern) is refused
+    before the file is opened for appending: a record of another version
+    may carry a precision_used of another meaning, so it is never mixed in.
+    So is a line whose head breaks an invariant of its slopes
+    (_check_outcome, run once per distinct outcome).  A lie that keeps
+    every invariant and the root sets is served: only recomputation would
+    find it."""
 
     def __init__(self, path: str | None):
         self._path = path
         self._fh = None
         self._served: dict[tuple, tuple[_Head, int, int]] = {}
-        # per head text: (head, (p, c, degree)) of its first line, or None
-        # if that line did not parse
-        by_text: dict[str, tuple[_Head, tuple] | None] = {}
         heads: dict[tuple, _Head] = {}
         checked: set[tuple] = set()
         torn = False
@@ -540,40 +529,22 @@ class _Checkpoint:
                 for lineno, line in enumerate(fh, 1):
                     torn = not line.endswith("\n")
                     line = line.strip()
-                    if not line:
-                        continue
-                    text, _, tail = line.rpartition(', "x": ')
-                    point = _POINT_TAIL.fullmatch(tail)
-                    if point is None:
-                        parsed = self._parse(line, lineno, heads, checked)
-                        if parsed is None:
-                            continue
-                        head, where, x, x_dlog = parsed
-                    else:
-                        entry = by_text.get(text, _MISSING)
-                        if entry is _MISSING:
-                            parsed = self._parse(line, lineno, heads, checked)
-                            entry = by_text[text] = parsed and parsed[:2]
-                        if entry is None:
-                            continue
-                        head, where = entry
-                        x, x_dlog = int(point[1]), int(point[2])
-                    self._served[(*where, x_dlog)] = (head, x, lineno)
+                    if line:
+                        self._parse(line, lineno, heads, checked)
         if path:
             self._fh = open(path, "a", encoding="utf-8")
             if torn:
                 self._fh.write("\n")
 
     def _parse(self, line: str, lineno: int, heads: dict, checked: set):
-        """(head, (p, c, degree), x, x_dlog) of a stripped line, or None if
-        it does not parse; MalformedInput if it is not a point record or its
-        head breaks an invariant of its slopes.  A head equal to one in
-        heads is that head, and an outcome in checked is not checked
-        again."""
+        """Load a stripped line into the served lines, or drop it if it does
+        not parse; MalformedInput if it is not a point record or its head
+        breaks an invariant of its slopes.  A head equal to one in heads is
+        that head, and an outcome in checked is not checked again."""
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError:
-            return None
+        except ValueError:  # JSONDecodeError, or an integer past the digit limit
+            return
         if not _is_point_record(rec):
             raise MalformedInput(
                 f"{self._path}:{lineno}: checkpoint line is not a point record")
@@ -591,12 +562,14 @@ class _Checkpoint:
                 checked.add(outcome)
             head = heads[value] = _Head(rec)
         # value[1:4] is (p, c, degree), with c as a tuple
-        return head, value[1:4], rec["x"], rec["x_dlog"]
+        self._served[(*value[1:4], rec["x_dlog"])] = (head, rec["x"], lineno)
 
-    def serve(self, datum: HypergeometricDatum, degree: int, x: int,
-              x_dlog: int) -> _Head | None:
+    def serve(self, datum: HypergeometricDatum, degree: int, x: int, x_dlog: int,
+              flags: tuple[bool, bool] | None) -> _Head | None:
         """The head of the loaded line at the point (x, x_dlog) of this
-        degree, or None if no line holds it."""
+        degree, or None if no line holds it.  flags, unless None, are the
+        point's u_c_zero and u_cdual_zero as the root sets give them, and
+        the line must carry them."""
         entry = self._served.get((datum.p, datum.c, degree, x_dlog))
         if entry is None:
             return None
@@ -605,6 +578,11 @@ class _Checkpoint:
             raise MalformedInput(
                 f"{self._path}:{lineno}: checkpoint line has x = {served_x}, "
                 f"but the element at x_dlog {x_dlog} is {x}")
+        carried = head.fields["u_c_zero"], head.fields["u_cdual_zero"]
+        if flags not in (None, carried):
+            raise MalformedInput(
+                f"{self._path}:{lineno}: checkpoint line has (u_c_zero, u_cdual_zero) "
+                f"= {carried}, but the root sets give {flags}")
         return head
 
     def add(self, head: _Head, x: int, x_dlog: int):
@@ -631,19 +609,20 @@ def scan_family(spec: FamilySpec, checkpoint: str | None = None,
     dlog), so the records come sorted by (p, c, degree, x_dlog).
 
     Each point's record is a head (see _Head) plus its x and x_dlog.  At
-    rank n <= FAST_PATH_MAX_RANK only the datum's degenerate points
-    (hyper.degenerate_points, from factoring u and the dual's u) can leave
-    the generic fast path.  That root set is found once per (datum,
-    degree), when the first point of the degree is not served from the
-    checkpoint, so a full resume finds none.  Every point in it goes through
-    slopes_at_point, which must not take the fast path, and builds a head
-    of its own, kept no longer than the point.  The first point outside it
-    goes through slopes_at_point too, which must take the fast path; its
-    head depends on the datum and the degree alone, so the later points of
-    that degree outside the set reuse it with no call.  So hyper keeps the
-    one definition of the fast path, and the scan checks its root set
-    against it.  At a higher rank every point goes through slopes_at_point.
-    A served point takes the head of its checkpoint line.
+    rank n <= FAST_PATH_MAX_RANK only the datum's degenerate points can
+    leave the generic fast path.  Their root sets, of u and of the dual's u
+    (hyper.degeneracy_loci, by factoring), are found once per (datum,
+    degree), resumed or not.  A point in them is served from the checkpoint
+    if a line holds it with the degeneracy flags the sets give; otherwise
+    it goes through slopes_at_point, which must give it those flags off the
+    fast path, and its record is appended to the checkpoint.  The first
+    point outside them goes through slopes_at_point too, which must take
+    the fast path; its head depends on the datum and the degree alone, so
+    the later points of that degree outside the sets reuse it with no call.
+    Such points are never looked up in the checkpoint nor added to it.  So
+    hyper keeps the one definition of the fast path, and the scan checks
+    its root sets against it.  At a higher rank every point is served from
+    the checkpoint or goes through slopes_at_point and into it.
 
     Each point is handed to the writer (a ReportWriter, or anything with
     its write_point(head, x, x_dlog) and close(datum_count, violations)) as
@@ -669,29 +648,29 @@ def scan_family(spec: FamilySpec, checkpoint: str | None = None,
             first = len(violations)
             for degree in range(1, spec.m_max + 1):
                 field = field_create(datum.p, degree)
-                roots = None  # the datum's degenerate points here, once needed
+                loci = degeneracy_loci(datum, field) \
+                    if datum.n <= FAST_PATH_MAX_RANK else None
                 fast_head = None
                 for pt in closed_points(field):
                     x, x_dlog = pt.x, pt.dlog
-                    head = store.serve(datum, degree, x, x_dlog)
+                    flags = None if loci is None else (x in loci[0], x in loci[1])
+                    fast = flags == (False, False)
+                    head = fast_head if fast else \
+                        store.serve(datum, degree, x, x_dlog, flags)
                     if head is None:
-                        fast = False
-                        if datum.n <= FAST_PATH_MAX_RANK:
-                            if roots is None:
-                                roots = degenerate_points(datum, field)
-                            fast = x not in roots
-                        head = fast_head if fast else None
-                        if head is None:
-                            report = slopes_at_point(datum, pt)
-                            if report.fast_path != fast:
-                                raise AssertionError(
-                                    f"p = {datum.p}, c = {datum.c}, degree {degree}, "
-                                    f"x = {x}: the root set gives fast_path {fast}, "
-                                    f"slopes_at_point {report.fast_path}")
-                            head = _Head(point_record(report))
-                            if fast:
-                                fast_head = head
-                        store.add(head, x, x_dlog)
+                        report = slopes_at_point(datum, pt)
+                        got = report.degenerate, report.dual_degenerate
+                        if report.fast_path != fast or flags not in (None, got):
+                            raise AssertionError(
+                                f"p = {datum.p}, c = {datum.c}, degree {degree}, "
+                                f"x = {x}: the root sets give fast_path {fast} and "
+                                f"flags {flags}, slopes_at_point {report.fast_path} "
+                                f"and {got}")
+                        head = _Head(point_record(report))
+                        if fast:
+                            fast_head = head
+                        else:
+                            store.add(head, x, x_dlog)
                     writer.write_point(head, x, x_dlog)
                     if head.violates:
                         rec = head.record(x, x_dlog)

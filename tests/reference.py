@@ -11,9 +11,8 @@ paths checks the whole dlog machinery against first principles.
 
 cyclic_convolve_schoolbook is the quadratic loop that
 isoslope.convolution.cyclic_convolve is checked against, and
-checkpoint_served_per_line the line-by-line checkpoint load that
-isoslope.scan._Checkpoint, which parses each distinct head text once, is
-checked against.
+checkpoint_served_per_line the line-by-line checkpoint load, written apart
+from it, that isoslope.scan._Checkpoint is checked against.
 
 This module needs numpy, a test dependency, and so lives with the tests
 rather than in the package.
@@ -187,8 +186,8 @@ def checkpoint_served_per_line(path: str) -> dict[tuple, tuple[dict, int, int]]:
     """What a checkpoint load serves, by (p, c, degree, x_dlog), each as
     (head fields, x, line number), from json.loads, _is_point_record and
     the head checks run on every line; MalformedInput naming path:line
-    where a line is refused.  Torn, undecodable and unparseable lines are
-    dropped."""
+    where a line is refused.  Torn, undecodable and unparseable lines,
+    integers past the digit limit among them, are dropped."""
     served = {}
     checked = set()
     with open(path, encoding="utf-8", errors="replace") as fh:
@@ -198,7 +197,7 @@ def checkpoint_served_per_line(path: str) -> dict[tuple, tuple[dict, int, int]]:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError:
+            except ValueError:
                 continue
             if not _is_point_record(rec):
                 raise MalformedInput(
@@ -215,3 +214,12 @@ def checkpoint_served_per_line(path: str) -> dict[tuple, tuple[dict, int, int]]:
                 checked.add(outcome)
             served[(*value[1:4], rec["x_dlog"])] = (_Head(rec).fields, rec["x"], lineno)
     return served
+
+
+def fast_path_lines(report_bytes: bytes) -> list[bytes]:
+    """The lines a checkpoint of the all-points format, which held a line
+    for every point, has beyond the lines of the points that did p-adic
+    work: the report's fast-path records, each as json.dumps(record,
+    sort_keys=True)."""
+    return [json.dumps(rec, sort_keys=True).encode() + b"\n"
+            for rec in json.loads(report_bytes)["records"] if rec["fast_path"]]

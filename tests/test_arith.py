@@ -19,11 +19,16 @@ from isoslope.arith import (
     ExtField,
     PadicResidue,
     Valuation,
+    _poly_gcd,
+    _poly_monic,
+    _poly_powmod,
+    _x_power_gcd,
     embed_element,
     field_create,
     irreducible_factor_count,
     is_prime,
     norm,
+    poly_add_mod_p,
     roots_in_field,
     teichmuller,
     teichmuller_table,
@@ -360,6 +365,18 @@ def test_irreducible_factor_count_frozen_values():
     assert irreducible_factor_count([3], 5, 1) == 0
     with pytest.raises(MalformedInput):
         irreducible_factor_count([1, 1], 5, 0)
+
+
+def test_x_power_gcd_of_a_linear_polynomial_is_itself():
+    # the shortcut equals the gcd it skips: X - r divides X^(p^k) - X
+    for p in (3, 5, 7):
+        for r in range(p):
+            f = [-r % p, 1]
+            for k in (1, 2, 3):
+                xe = _poly_powmod([0, 1], p ** k, f, p)
+                full = _poly_monic(_poly_gcd(f, poly_add_mod_p(xe, [0, p - 1], p), p), p)
+                assert _x_power_gcd(f, p ** k, p) == f == full
+    assert _x_power_gcd([1], 5, 5) == [1]
 
 
 def test_roots_in_field_refusals():

@@ -1,6 +1,6 @@
-"""The checkpoint load: one parse and one check per distinct head text,
-against the line-by-line load of tests/reference.py; undecodable bytes; and
-a scan killed midway and resumed."""
+"""The checkpoint load against the line-by-line load of tests/reference.py;
+undecodable bytes and oversized integers; lines of the all-points format,
+forged flags; and a scan killed midway and resumed."""
 
 from __future__ import annotations
 
@@ -20,10 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isoslope
+from isoslope.cli import main
 from isoslope.errors import MalformedInput
 from isoslope.scan import _HEAD_FIELDS, FamilySpec, _Checkpoint, scan_family
 
-from reference import checkpoint_served_per_line
+from reference import checkpoint_served_per_line, fast_path_lines
 
 _TRIPLEGAP_43 = ["scan", "--family", "triplegap", "--p-range", "5..43"]
 _ENV = dict(os.environ, PYTHONPATH=str(Path(isoslope.__file__).parent.parent))
@@ -202,6 +203,23 @@ def test_an_undecodable_byte_inside_a_line_is_dropped_or_refused(tmp_path):
     assert path.read_bytes() == body
 
 
+def test_an_integer_past_the_digit_limit_is_dropped_and_recomputed(tmp_path, capsys):
+    # json.loads refuses an integer of more than 4300 digits with ValueError
+    path = tmp_path / "scan.ndjson"
+    argv = ["scan", "--family", "triplegap", "--p-range", "5..5", "--checkpoint", str(path)]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    first, *rest = path.read_bytes().splitlines(keepends=True)
+    huge = re.sub(rb'"x": [0-9]+,', b'"x": ' + b"9" * 5000 + b",", first)
+    assert huge != first
+    path.write_bytes(huge + b"".join(rest))
+    oracle, loaded = _load_both(str(path))
+    assert loaded == oracle and len(loaded) == len(rest)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == fresh
+    assert path.read_bytes().splitlines(keepends=True)[-1] == first
+
+
 def test_cli_resume_after_undecodable_bytes(tmp_path):
     path = tmp_path / "scan.ndjson"
     argv = ["scan", "--family", "triplegap", "--p-range", "5..7"]
@@ -227,11 +245,12 @@ def triplegap_43(tmp_path_factory):
     return ckpt.read_bytes(), out.read_bytes()
 
 
-def test_full_resume_parses_each_head_text_once(tmp_path, monkeypatch, triplegap_43):
+def test_full_resume_parses_each_line_once(tmp_path, monkeypatch, triplegap_43):
+    # a line for each of the 480 points that did p-adic work, of 6936
     path = tmp_path / "scan.ndjson"
     path.write_bytes(triplegap_43[0])
-    texts = {ln.rpartition(b', "x": ')[0] for ln in triplegap_43[0].splitlines()}
-    assert (triplegap_43[0].count(b"\n"), len(texts)) == (6936, 720)
+    lines = triplegap_43[0].count(b"\n")
+    assert lines == 480
     parsed = []
     real = json.loads
 
@@ -242,16 +261,76 @@ def test_full_resume_parses_each_head_text_once(tmp_path, monkeypatch, triplegap
     monkeypatch.setattr(json, "loads", counting)
     report = scan_family(FamilySpec("triplegap", 5, 43), checkpoint=str(path))
     monkeypatch.undo()
-    assert len(parsed) <= 720
+    assert len(parsed) == lines
     assert report.to_bytes() == triplegap_43[1]
+    assert path.read_bytes() == triplegap_43[0]
 
 
-@pytest.mark.parametrize("k", [1, 700, 3000])
+def test_a_checkpoint_of_every_point_resumes_to_the_same_bytes(tmp_path, capsys,
+                                                               triplegap_43):
+    # the all-points format held a line for every point: its fast-path lines
+    # are parsed and checked, but never served
+    path = tmp_path / "scan.ndjson"
+    body = triplegap_43[0] + b"".join(fast_path_lines(triplegap_43[1]))
+    assert body.count(b"\n") == 6936
+    path.write_bytes(body)
+    assert main([*_TRIPLEGAP_43, "--checkpoint", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out.encode() == triplegap_43[1]
+    assert "all triple-gap uniqueness checks passed" in err
+    assert path.read_bytes() == body
+
+
+def test_a_root_point_line_with_other_flags_is_refused(tmp_path, capsys):
+    # c3 = 1 at p = 5 has a top-gap point and a bottom-gap point; the first
+    # given the other's head keeps every invariant of its slopes, but not
+    # the flags the root sets give its point
+    path = tmp_path / "scan.ndjson"
+    argv = ["scan", "--family", "triplegap", "--p-range", "5..5", "--checkpoint", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    recs = [json.loads(ln) for ln in path.read_bytes().splitlines()]
+    index, other = [i for i, rec in enumerate(recs) if rec["c"] == [1, 1, 3]]
+    flags = recs[index]["u_c_zero"], recs[index]["u_cdual_zero"]
+    recs[index].update({key: recs[other][key] for key in _HEAD_FIELDS})
+    forged = recs[index]["u_c_zero"], recs[index]["u_cdual_zero"]
+    assert forged != flags
+    body = "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in recs).encode()
+    path.write_bytes(body)
+    assert main(argv) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and f"{path}:{index + 1}: checkpoint line has (u_c_zero, " \
+        f"u_cdual_zero) = {forged}, but the root sets give {flags}" in err
+    assert path.read_bytes() == body
+
+
+# the isoslope CLI with a checkpoint that stops the scan, as if it hung,
+# once it has written k lines
+_STOP_AFTER_K_LINES = """
+import sys, time
+from isoslope import cli, scan
+k, written, real = int(sys.argv[1]), [], scan._Checkpoint.add
+def add(self, *point):
+    real(self, *point)
+    written.append(point)
+    if len(written) == k:
+        time.sleep(600)
+scan._Checkpoint.add = add
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("k", ["1", "half", "n-1"])
 def test_a_scan_killed_after_k_lines_resumes_to_the_same_report(tmp_path, triplegap_43, k):
+    # n is the line count of the complete checkpoint
+    n = triplegap_43[0].count(b"\n")
+    k = {"1": 1, "half": n // 2, "n-1": n - 1}[k]
     ckpt, out = tmp_path / "scan.ndjson", tmp_path / "report.json"
-    argv = [sys.executable, "-m", "isoslope.cli", *_TRIPLEGAP_43, "--checkpoint", str(ckpt)]
-    child = subprocess.Popen([*argv, "--out", str(tmp_path / "killed.json")], env=_ENV,
-                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    argv = [*_TRIPLEGAP_43, "--checkpoint", str(ckpt)]
+    child = subprocess.Popen(
+        [sys.executable, "-c", _STOP_AFTER_K_LINES, str(k), *argv,
+         "--out", str(tmp_path / "killed.json")],
+        env=_ENV, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
         deadline = time.monotonic() + 120
         while child.poll() is None and time.monotonic() < deadline and \
@@ -262,11 +341,10 @@ def test_a_scan_killed_after_k_lines_resumes_to_the_same_report(tmp_path, triple
         child.wait()
     assert child.returncode == -signal.SIGKILL
     written = ckpt.read_bytes()
-    assert k <= written.count(b"\n") < 6936
+    assert written.count(b"\n") == k
     assert not (tmp_path / "killed.json").exists()
-    subprocess.run([*argv, "--out", str(out)], env=_ENV, check=True, capture_output=True,
-                   timeout=300)
+    subprocess.run([sys.executable, "-m", "isoslope.cli", *argv, "--out", str(out)],
+                   env=_ENV, check=True, capture_output=True, timeout=300)
     assert out.read_bytes() == triplegap_43[1]
     # the resume appended what the killed run had not written
-    complete = set(ckpt.read_bytes().splitlines()) - {written.rpartition(b"\n")[2]}
-    assert complete == set(triplegap_43[0].splitlines())
+    assert ckpt.read_bytes() == triplegap_43[0]

@@ -495,6 +495,7 @@ def test_scan_triplegap_verdict_reads_the_served_records(capsys, tmp_path):
     (top,) = [r for r in recs if r["c"] == [1, 1, 3] and r["x"] == 2]
     assert Fraction(top["gaps"][0]) > 1
     lineno = recs.index(top) + 1
+    truth = dict(top)
     # generic slopes at a degenerate point (u_c_zero true) break the flag's
     # invariant: the load refuses the line
     top.update(slopes=["2", "1", "0"], gaps=["1", "1"], max_gap="1", violates=False)
@@ -506,17 +507,28 @@ def test_scan_triplegap_verdict_reads_the_served_records(capsys, tmp_path):
     assert code == 64 and out == ""
     assert f"{ckpt}:{lineno}: checkpoint line breaks an invariant" in err
     # made the generic fast-path record whole, the lie keeps every invariant
-    # the load checks: it is served, and the verdict reads it
+    # of its slopes, but not the flags the root sets give its point: the
+    # scan refuses it before the verdict could read it
     top.update(u_c_zero=False, u_cdual_zero=False, strategy=None,
                precision_used=None, fast_path=True)
     ckpt.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs),
                     encoding="utf-8")
     code, out, err = run(capsys, "scan", "--family", "triplegap", "--p-range", "5",
                          "--checkpoint", str(ckpt))
-    assert code == 2
-    assert "triple-gap uniqueness FAILED at [(5, 1)]" in err
-    assert "all triple-gap uniqueness checks passed" not in err
-    assert json.loads(out)["summary"]["violations"] == 3
+    assert code == 64 and out == ""
+    assert f"{ckpt}:{lineno}: checkpoint line has (u_c_zero, u_cdual_zero) = " \
+        "(False, False), but the root sets give (True, False)" in err
+    # a lie that keeps the invariants and the flags is served, and the
+    # verdict reads it; here none can hide the top gap, since the flags
+    # force slopes (2, a, 1 - a) with 1 - a > 0
+    top.update(truth, slopes=["2", "2/3", "1/3"], gaps=["4/3", "1/3"], max_gap="4/3")
+    ckpt.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs),
+                    encoding="utf-8")
+    code, out, err = run(capsys, "scan", "--family", "triplegap", "--p-range", "5",
+                         "--checkpoint", str(ckpt))
+    assert code == 0 and "all triple-gap uniqueness checks passed" in err
+    (served,) = [r for r in json.loads(out)["records"] if r["c"] == [1, 1, 3] and r["x"] == 2]
+    assert served["slopes"] == ["2", "2/3", "1/3"]
 
 
 def test_scan_checkpoint_line_missing_a_field_is_a_usage_error(capsys, tmp_path):
@@ -576,22 +588,22 @@ def test_scan_checkpoint_of_schema_version_1_is_a_usage_error(capsys, tmp_path):
 
 def test_scan_checkpoint_line_whose_x_is_not_at_its_dlog_is_a_usage_error(capsys,
                                                                           tmp_path):
-    # the first point of GF(7) is x = 3 at x_dlog 1; served as x = 6 it
-    # would put a second x = 6 into the report
+    # the one degenerate point up to GF(7^2) is x = 20 at x_dlog 13;
+    # served as x = 21 it would put a second x = 21 into the report
     ckpt = tmp_path / "ck.ndjson"
     argv = ["scan", "--family", "explicit", "--c", "2,3", "--p-range", "7..7",
-            "--checkpoint", str(ckpt)]
+            "--m-max", "2", "--checkpoint", str(ckpt)]
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    first, *rest = ckpt.read_text(encoding="utf-8").splitlines(keepends=True)
-    rec = json.loads(first)
-    assert (rec["x"], rec["x_dlog"]) == (3, 1)
-    rec["x"] = 6
-    body = json.dumps(rec, sort_keys=True) + "\n" + "".join(rest)
+    (line,) = ckpt.read_text(encoding="utf-8").splitlines(keepends=True)
+    rec = json.loads(line)
+    assert (rec["degree"], rec["x"], rec["x_dlog"]) == (2, 20, 13)
+    rec["x"] = 21
+    body = json.dumps(rec, sort_keys=True) + "\n"
     ckpt.write_text(body, encoding="utf-8")
     code, out, err = run(capsys, *argv)
     assert code == 64
-    assert out == "" and f"{ckpt}:1: checkpoint line has x = 6" in err
+    assert out == "" and f"{ckpt}:1: checkpoint line has x = 21" in err
     assert ckpt.read_text(encoding="utf-8") == body
 
 

@@ -45,6 +45,7 @@ from isoslope.hyper import (
     auto_precision,
     char_poly_valuations,
     closed_points,
+    degeneracy_loci,
     degenerate_points,
     dual_datum,
     frobenius_trace,
@@ -121,11 +122,11 @@ def test_unit_root_eval_is_a_norm():
 
 # -- points ------------------------------------------------------------------
 
-def _degenerate_by_evaluation(datum, field):
-    """The oracle: every closed point where u or the dual's u has norm 0."""
-    dual = dual_datum(datum)
-    return {pt.x for pt in closed_points(field)
-            if unit_root_eval(datum, pt) == 0 or unit_root_eval(dual, pt) == 0}
+def _degeneracy_loci_by_evaluation(datum, field):
+    """The oracle: the closed points where u has norm 0, and those where the
+    dual's u has."""
+    return tuple({pt.x for pt in closed_points(field) if unit_root_eval(d, pt) == 0}
+                 for d in (datum, dual_datum(datum)))
 
 
 def _small_datums():
@@ -145,9 +146,10 @@ def test_degenerate_points_equal_per_point_evaluation(cases):
     found = 0
     for datum, m in cases:
         field = field_create(datum.p, m)
-        got = degenerate_points(datum, field)
-        assert got == _degenerate_by_evaluation(datum, field), (datum, m)
-        found += len(got)
+        loci = degeneracy_loci(datum, field)
+        assert loci == _degeneracy_loci_by_evaluation(datum, field), (datum, m)
+        assert degenerate_points(datum, field) == loci[0] | loci[1]
+        found += len(loci[0]) + len(loci[1])
     assert found
 
 

@@ -51,6 +51,8 @@ from isoslope.scan import (
     verify_triple_gap_uniqueness,
 )
 
+from reference import fast_path_lines
+
 _SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "output_record.schema.json"
 RECORD_SCHEMA = json.loads(_SCHEMA_PATH.read_text(encoding="utf-8"))
 
@@ -244,18 +246,25 @@ def test_checkpoint_resume_serves_cached_records(tmp_path, monkeypatch):
     path = str(tmp_path / "scan.ndjson")
     first = scan_family(spec, checkpoint=path)
     lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
-    assert len(lines) == len(_records(first))
+    # one line per record that did p-adic work, in the order of the report
+    assert lines == [json.dumps(rec, sort_keys=True) for rec in _records(first)
+                     if not rec["fast_path"]]
+    assert 0 < len(lines) < len(_records(first))
     for ln in lines:
         validate_record(json.loads(ln))
+    computed = []
 
-    def boom(*a, **k):
-        raise AssertionError("resume must not recompute finished points")
+    def fast_only(datum, point):
+        report = slopes_at_point(datum, point)
+        assert report.fast_path, "resume must not recompute finished points"
+        computed.append(point)
+        return report
 
-    monkeypatch.setattr("isoslope.scan.slopes_at_point", boom)
-    # nor find any root set: it is computed only for a point not served
-    monkeypatch.setattr("isoslope.scan.degenerate_points", boom)
+    monkeypatch.setattr("isoslope.scan.slopes_at_point", fast_only)
     second = scan_family(spec, checkpoint=path)
     assert second.to_bytes() == first.to_bytes()
+    # only the fast-path head of each (datum, degree): c3 = 1 and 3
+    assert len(computed) == 2
 
 
 def test_checkpoint_tolerates_torn_and_blank_lines(tmp_path, monkeypatch):
@@ -275,7 +284,9 @@ def test_checkpoint_tolerates_torn_and_blank_lines(tmp_path, monkeypatch):
     monkeypatch.setattr("isoslope.scan.slopes_at_point", counting)
     again = scan_family(spec, checkpoint=str(path))
     assert again.to_bytes() == first.to_bytes()
-    assert len(computed) == 1
+    # the dropped line's point, and the fast-path head of each of the two
+    # (datum, degree)
+    assert len(computed) == 3
     lines = path.read_text(encoding="utf-8").splitlines()
     for ln in lines:
         if ln and ln != torn:
@@ -450,9 +461,11 @@ def _oracle_bytes(spec, records, violations, datums) -> bytes:
 
 def _scan_and_oracle(spec, path):
     """A fresh scan with its checkpoint at path, and the oracle bytes of its
-    report, whose records are read from the checkpoint's lines."""
+    report, whose records are computed here point by point."""
     report = scan_family(spec, checkpoint=str(path))
-    records = [json.loads(ln) for ln in path.read_text(encoding="utf-8").splitlines()]
+    records = [point_record(slopes_at_point(datum, pt))
+               for datum in family_members(spec) for m in range(1, spec.m_max + 1)
+               for pt in closed_points(field_create(datum.p, m))]
     return report, _oracle_bytes(spec, records, report.violations, report.datum_count)
 
 
@@ -696,18 +709,16 @@ def test_checkpoint_lines_written_through_heads_equal_json_dumps(tmp_path, spec,
     path = tmp_path / "scan.ndjson"
     report = scan_family(spec, checkpoint=str(path))
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == len(_records(report))
-    slow = 0
+    # a line for each point off the fast path, with a head of its own;
+    # each scan has some
+    assert len(lines) == sum(not rec["fast_path"] for rec in _records(report)) > 0
     for line in lines:
         rec = json.loads(line)
         datum = HypergeometricDatum(rec["p"], tuple(rec["c"]))
         pt = point_spec(field_create(rec["p"], rec["degree"]), rec["x"])
         fresh = point_record(slopes_at_point(datum, pt))
         assert line == json.dumps(fresh, sort_keys=True)
-        slow += rec["strategy"] is not None and rec["precision_used"] is not None
-    # each scan has degenerate points, off the fast path, with heads of
-    # their own
-    assert slow
+        assert rec["strategy"] is not None and rec["precision_used"] is not None
 
 
 @pytest.mark.parametrize("spec, argv", _HEAD_SPECS, ids=_HEAD_IDS)
@@ -743,8 +754,11 @@ def test_each_head_is_rendered_once(capsys, monkeypatch):
 
 
 def test_checkpoint_load_keeps_heads_not_records(tmp_path):
+    # a checkpoint of the all-points format, with a line for every point
     path = tmp_path / "scan.ndjson"
-    scan_family(FamilySpec("triplegap", 5, 43), checkpoint=str(path))
+    report = scan_family(FamilySpec("triplegap", 5, 43), checkpoint=str(path))
+    with open(path, "ab") as fh:
+        fh.writelines(fast_path_lines(report.to_bytes()))
     lines = path.read_text(encoding="utf-8").count("\n")
     assert lines == 6936
     tracemalloc.start()
@@ -762,8 +776,8 @@ def test_checkpoint_load_keeps_heads_not_records(tmp_path):
 
 
 def test_checkpoint_load_checks_each_outcome_once(tmp_path, monkeypatch):
-    # the 720 heads of the triple-gap sweep have 3 distinct outcomes: the
-    # generic one and the two degenerate ones, each at its own precision
+    # the 480 heads of the triple-gap sweep's checkpoint have 2 distinct
+    # outcomes: the two degenerate ones, each at its own precision
     path = tmp_path / "scan.ndjson"
     scan_family(FamilySpec("triplegap", 5, 43), checkpoint=str(path))
     checked = []
@@ -775,7 +789,7 @@ def test_checkpoint_load_checks_each_outcome_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(scan_module, "_check_outcome", counting)
     _Checkpoint(str(path)).close()
-    assert len(checked) == 3
+    assert len(checked) == 2
 
 
 # -- served lines re-checked at load, and the root set -------------------------
@@ -813,9 +827,13 @@ _BROKEN_OUTCOMES = {
 
 @pytest.mark.parametrize("kind, edit", _BROKEN_OUTCOMES.values(), ids=_BROKEN_OUTCOMES.keys())
 def test_checkpoint_line_breaking_its_slopes_is_refused(tmp_path, kind, edit):
+    # fast-path lines are those of the all-points format: checked on load,
+    # though never served
     spec = FamilySpec("triplegap", 5, 5)
     path = tmp_path / "scan.ndjson"
-    scan_family(spec, checkpoint=str(path))
+    report = scan_family(spec, checkpoint=str(path))
+    with open(path, "ab") as fh:
+        fh.writelines(fast_path_lines(report.to_bytes()))
     recs = [json.loads(ln) for ln in path.read_text(encoding="utf-8").splitlines()]
     index = next(i for i, rec in enumerate(recs) if _first(kind)(rec))
     recs[index].update(edit)
@@ -828,19 +846,48 @@ def test_checkpoint_line_breaking_its_slopes_is_refused(tmp_path, kind, edit):
     assert path.read_text(encoding="utf-8") == body
 
 
-def test_a_generic_line_off_the_fast_path_is_served(tmp_path):
-    # the same slopes computed p-adically: consistent, so the load keeps it
-    spec = FamilySpec("triplegap", 5, 5)
-    path = tmp_path / "scan.ndjson"
-    fresh = scan_family(spec, checkpoint=str(path))
-    recs = [json.loads(ln) for ln in path.read_text(encoding="utf-8").splitlines()]
+def _generic_off_the_fast_path(recs):
+    # the same slopes computed p-adically
     rec = next(r for r in recs if r["fast_path"])
     rec.update(strategy="dualpair", precision_used=2, fast_path=False)
-    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in recs),
-                    encoding="utf-8")
-    resumed = scan_family(spec, checkpoint=str(path))
-    assert resumed.to_bytes() != fresh.to_bytes()
-    assert b'"fast_path": false' in resumed.to_bytes()
+    return rec
+
+
+def _fast_path_at_another_x(recs):
+    # x is not the element at x_dlog: refused, were the line served
+    rec = next(r for r in recs if r["fast_path"])
+    rec["x"] = 2 if rec["x"] != 2 else 3
+    return rec
+
+
+def _degenerate_at_a_generic_point(recs):
+    # a degenerate record in place of a generic one of its datum
+    slow = next(r for r in recs if not r["fast_path"])
+    i = next(i for i, r in enumerate(recs) if r["fast_path"] and r["c"] == slow["c"])
+    recs[i] = dict(slow, x=recs[i]["x"], x_dlog=recs[i]["x_dlog"])
+    return recs[i]
+
+
+@pytest.mark.parametrize("forge", [_generic_off_the_fast_path, _fast_path_at_another_x,
+                                   _degenerate_at_a_generic_point],
+                         ids=["generic-off-the-fast-path", "fast-path", "degenerate"])
+def test_a_forged_line_at_a_non_root_point_is_never_served(tmp_path, forge):
+    # the line keeps every invariant its slopes force, so the load keeps it;
+    # but a point off the root sets takes the fast-path head of its degree
+    spec = FamilySpec("triplegap", 5, 5)
+    path = tmp_path / "scan.ndjson"
+    fresh = scan_family(spec, checkpoint=str(path)).to_bytes()
+    lines = path.read_bytes().splitlines(keepends=True) + fast_path_lines(fresh)
+    recs = [json.loads(ln) for ln in lines]
+    rec = forge(recs)
+    body = "".join(json.dumps(r, sort_keys=True) + "\n" for r in recs)
+    path.write_text(body, encoding="utf-8")
+    store = _Checkpoint(str(path))
+    store.close()
+    head, x, _ = store._served[(rec["p"], tuple(rec["c"]), rec["degree"], rec["x_dlog"])]
+    assert (head.fields, x) == ({k: rec[k] for k in _HEAD_FIELDS}, rec["x"])
+    assert scan_family(spec, checkpoint=str(path)).to_bytes() == fresh
+    assert path.read_text(encoding="utf-8") == body
 
 
 def test_a_fast_path_head_above_the_fast_path_rank_is_refused():
@@ -866,10 +913,18 @@ def test_highdeg_scan_computes_one_point_per_degree_and_the_root(capsys, monkeyp
     assert [(pt.degree, pt.x) for pt in computed if pt.degree == 2][1:] == [(2, 20)]
 
 
-@pytest.mark.parametrize("lie", ["none", "all"])
+_LOCI_LIES = {
+    "none": lambda loci, q: (frozenset(), frozenset()),
+    "all": lambda loci, q: (frozenset(range(q)), frozenset(range(q))),
+    # the union is right, so only the flags can catch it
+    "swapped": lambda loci, q: loci[::-1],
+}
+
+
+@pytest.mark.parametrize("lie", _LOCI_LIES)
 def test_scan_refuses_a_root_set_that_disagrees_with_the_fast_path(monkeypatch, lie):
-    monkeypatch.setattr(
-        "isoslope.scan.degenerate_points",
-        lambda datum, field: frozenset(range(field.q)) if lie == "all" else frozenset())
+    real = scan_module.degeneracy_loci
+    monkeypatch.setattr(scan_module, "degeneracy_loci",
+                        lambda datum, field: _LOCI_LIES[lie](real(datum, field), field.q))
     with pytest.raises(AssertionError, match="fast_path"):
         scan_family(FamilySpec("triplegap", 5, 5))
