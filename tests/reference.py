@@ -12,7 +12,8 @@ paths checks the whole dlog machinery against first principles.
 cyclic_convolve_schoolbook is the quadratic loop that
 isoslope.convolution.cyclic_convolve is checked against, and
 checkpoint_served_per_line the line-by-line checkpoint load, written apart
-from it, that isoslope.scan._Checkpoint is checked against.
+from it, that isoslope.scan._Checkpoint is checked against; fast_path_lines
+gives what a checkpoint of the all-points format held beyond today's.
 
 This module needs numpy, a test dependency, and so lives with the tests
 rather than in the package.

@@ -247,10 +247,13 @@ def triplegap_43(tmp_path_factory):
 
 def test_full_resume_parses_each_line_once(tmp_path, monkeypatch, triplegap_43):
     # a line for each of the 480 points that did p-adic work, of 6936
+    records = json.loads(triplegap_43[1])["records"]
+    assert triplegap_43[0].splitlines() == [json.dumps(rec, sort_keys=True).encode()
+                                            for rec in records if not rec["fast_path"]]
     path = tmp_path / "scan.ndjson"
     path.write_bytes(triplegap_43[0])
     lines = triplegap_43[0].count(b"\n")
-    assert lines == 480
+    assert (lines, len(records)) == (480, 6936)
     parsed = []
     real = json.loads
 
