@@ -21,10 +21,10 @@ vector, shares one record head per degree and never enters the checkpoint.
 
 A point record is written as a head plus a point.  The head holds the 13
 fields fixed by the datum, the degree and the slope outcome; the point holds
-x and x_dlog, which sort after every other key.  The report and the
-checkpoint render each head's text once and write each point as that text
-followed by its own two fields.  A resume parses each checkpoint line and
-checks it against the invariants its slopes force before serving it.
+x and x_dlog, which sort after every other key.  The report renders each
+head's text once and writes each point as that text followed by its own
+two fields.  A resume parses each checkpoint line and checks it against
+the invariants its slopes force before serving it.
 """
 
 from __future__ import annotations
@@ -250,16 +250,15 @@ _HEAD_FIELDS = _head_fields(_RECORD_TYPES)
 class _Head:
     """The 13 fields of a point record that its datum, degree and slope
     outcome fix: all but x and x_dlog, in point_record's key order.  The
-    head's text in a JSON report and in a checkpoint line is made once, by
-    the first writer that needs it, and kept here for its later points."""
+    head's text in a JSON report is made once, by the report's writer, and
+    kept here for its later points."""
 
-    __slots__ = ("fields", "violates", "report", "line")
+    __slots__ = ("fields", "violates", "report")
 
     def __init__(self, rec: dict):
         self.fields = {k: rec[k] for k in _HEAD_FIELDS}
         self.violates = rec["violates"]
         self.report: str | None = None
-        self.line: str | None = None
 
     def record(self, x: int, x_dlog: int) -> dict:
         """The point record of (x, x_dlog) under this head, in point_record's
@@ -490,10 +489,9 @@ class CounterexampleReport:
 
 class _Checkpoint:
     """Append-only NDJSON store of the point records that did p-adic work,
-    one per line, each the text of json.dumps(record, sort_keys=True).  A
-    record is written as its head's sorted text, made once per head and
-    kept on it, followed by x and x_dlog, which sort last; each line is
-    flushed as it is written.
+    one per line, each the text of json.dumps(record, sort_keys=True) and
+    flushed as it is written.  Each such point has a head of its own, so a
+    line is rendered whole.
 
     The lines loaded from it are served by (p, c, degree, x_dlog), each as
     (head, x, line number): lines whose head fields are equal share one
@@ -587,10 +585,7 @@ class _Checkpoint:
 
     def add(self, head: _Head, x: int, x_dlog: int):
         if self._fh is not None:
-            text = head.line
-            if text is None:
-                text = head.line = json.dumps(head.fields, sort_keys=True)[:-1] + ', "x": '
-            self._fh.write(f'{text}{x}, "x_dlog": {x_dlog}}}\n')
+            self._fh.write(json.dumps(head.record(x, x_dlog), sort_keys=True) + "\n")
             self._fh.flush()
 
     def close(self):
