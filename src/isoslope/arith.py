@@ -8,13 +8,21 @@ Conventions
 * The modulus is the first monic irreducible polynomial of degree m in the
   encoding order above; the generator is the first encoded element of full
   multiplicative order p^m - 1.  Both choices are deterministic; nothing
-  downstream depends on them.
+  downstream depends on them.  A monic f of degree m is irreducible
+  exactly when it has one distinct irreducible factor of degree m, so the
+  modulus is the first candidate whose distinct-degree count
+  (irreducible_factor_count) is 1.
+* Polynomials are little-endian coefficient lists, and one set of routines
+  (_fpoly_*) does their arithmetic over any field built here: over GF(p)
+  for factor counts and the modulus, over GF(p^m) for roots.
 * Discrete-log and exponential tables are built at construction and held
   as array('q') (8 bytes an entry), so field size is capped (default 2^21
   elements, ISOSLOPE_TABLE_LIMIT overrides).  For m >= 2 and p <= 127 the
   powers of the generator come from byte-sliced lookup tables reduced with
-  bytes.translate; m = 1, and m = 2 above p = 127, multiply by polynomial
-  arithmetic (_mul_raw), which stays as the oracle for both.
+  bytes.translate; m = 1, and m = 2 above p = 127, multiply by _mul_raw, a
+  schoolbook product of digit lists reduced by the modulus.  _mul_raw reads
+  no table and calls no other polynomial routine, so it stays as the
+  oracle for both builds.
   field_create() checks the cap on every call and returns one shared field
   per (p, m); tables derived from fields are memoized with functools.cache,
   keyed by the field object itself.
@@ -98,71 +106,12 @@ def table_limit_from_env() -> int:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over GF(p), little-endian coefficient lists
+# polynomial helpers, little-endian coefficient lists
 # ---------------------------------------------------------------------------
 
 def _poly_trim(a):
     while a and a[-1] == 0:
         a.pop()
-    return a
-
-
-def poly_mul_mod_p(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def poly_add_mod_p(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, ai in enumerate(a):
-        out[i] = ai
-    for j, bj in enumerate(b):
-        out[j] = (out[j] + bj) % p
-    return _poly_trim(out)
-
-
-def _poly_rem(a, f, p):
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - df
-            for i in range(df + 1):
-                a[shift + i] = (a[shift + i] - lead * f[i]) % p
-        a.pop()
-    return _poly_trim(a)
-
-
-def _poly_mulmod(a, b, f, p):
-    return _poly_rem(poly_mul_mod_p(a, b, p), f, p)
-
-
-def _poly_powmod(base, e, f, p):
-    acc = [1]
-    cur = _poly_rem(base, f, p)
-    while e:
-        if e & 1:
-            acc = _poly_mulmod(acc, cur, f, p)
-        cur = _poly_mulmod(cur, cur, f, p)
-        e >>= 1
-    return acc
-
-
-def _poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        inv = pow(b[-1], -1, p)
-        bm = [(ci * inv) % p for ci in b]
-        a, b = b, _poly_rem(a, bm, p)
     return a
 
 
@@ -173,47 +122,6 @@ def _poly_monic(a, p):
         raise MalformedInput("the zero polynomial has no leading coefficient")
     inv = pow(a[-1], -1, p)
     return [ci * inv % p for ci in a]
-
-
-def _x_power_gcd(f, e, p):
-    """gcd(f, X^e - X) over GF(p), monic, for f monic and e a power of p."""
-    if len(f) <= 2:  # 1, or X - r with r in GF(p), where r^e = r
-        return f
-    xe = _poly_powmod([0, 1], e, f, p)
-    return _poly_monic(_poly_gcd(f, poly_add_mod_p(xe, [0, p - 1], p), p), p)
-
-
-def irreducible_factor_count(coeffs, p: int, d: int) -> int:
-    """Number of distinct monic irreducible factors of degree d over GF(p)
-    of a nonzero polynomial (coefficients low first), by distinct-degree
-    factorization: gcd(f, X^(p^i) - X) is the product of the distinct
-    irreducible factors of f whose degree divides i, so its degree is
-    sum over e | i of e N_e.  Repeated factors count once."""
-    if d < 1:
-        raise MalformedInput(f"factor degree must be >= 1, got {d}")
-    f = _poly_monic(coeffs, p)
-    counts: dict[int, int] = {}
-    for i in range(1, d + 1):
-        if d % i == 0:
-            deg = len(_x_power_gcd(f, p ** i, p)) - 1
-            counts[i] = (deg - sum(e * n for e, n in counts.items() if i % e == 0)) // i
-    return counts[d]
-
-
-def _is_irreducible(f, p):
-    """Rabin test: f monic of degree m is irreducible over GF(p) iff
-    X^(p^m) = X mod f and gcd(X^(p^(m/l)) - X, f) = 1 for primes l | m."""
-    m = len(f) - 1
-    x = [0, 1]
-    if _poly_powmod(x, p ** m, f, p) != _poly_rem(x, f, p):
-        return False
-    for ell in factorize(m):
-        h = _poly_powmod(x, p ** (m // ell), f, p)
-        diff = poly_add_mod_p(h, [0, p - 1], p)
-        g = _poly_gcd(f, diff, p)
-        if len(g) - 1 > 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +171,8 @@ class ExtField:
         if m == 1:
             return (0, 1)  # X itself: GF(p)[X]/(X) = GF(p)
         for k in range(p ** m):
-            low = self._digits_of(k)
-            f = low + [1]
-            if _is_irreducible(f, p):
+            f = self._digits_of(k) + [1]
+            if irreducible_factor_count(f, p, m) == 1:  # f is its only factor
                 return tuple(f)
         raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 
@@ -285,10 +192,21 @@ class ExtField:
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Product via polynomial arithmetic; independent of the dlog tables."""
-        if self.m == 1:
-            return a * b % self.p
-        prod = _poly_mulmod(self._digits_of(a), self._digits_of(b), list(self.modulus), self.p)
-        return self._encode(prod + [0] * (self.m - len(prod)))
+        p, m, f = self.p, self.m, self.modulus
+        if m == 1:
+            return a * b % p
+        prod = [0] * (2 * m - 1)
+        db = self._digits_of(b)
+        for i, ai in enumerate(self._digits_of(a)):
+            if ai:
+                for j, bj in enumerate(db):
+                    prod[i + j] += ai * bj
+        for top in range(2 * m - 2, m - 1, -1):  # X^m = -(f - X^m)
+            lead = prod[top] % p
+            if lead:
+                for i in range(m):
+                    prod[top - m + i] -= lead * f[i]
+        return self._encode([c % p for c in prod[:m]])
 
     def _pow_raw(self, a: int, e: int) -> int:
         acc, cur = 1, a
@@ -367,33 +285,28 @@ class ExtField:
 
     # -- arithmetic -------------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """a + sign * b, digit by digit mod p."""
         p = self.p
         if self.m == 1:
-            return (a + b) % p
+            return (a + sign * b) % p
         out = 0
         shift = 1
         while a or b:
             a, ra = divmod(a, p)
             b, rb = divmod(b, p)
-            out += ((ra + rb) % p) * shift
+            out += ((ra + sign * rb) % p) * shift
             shift *= p
         return out
+
+    def add(self, a: int, b: int) -> int:
+        return self._digitwise(a, b, 1)
 
     def neg(self, a: int) -> int:
-        p = self.p
-        if self.m == 1:
-            return (-a) % p
-        out = 0
-        shift = 1
-        while a:
-            a, ra = divmod(a, p)
-            out += ((-ra) % p) * shift
-            shift *= p
-        return out
+        return self._digitwise(0, a, -1)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._digitwise(a, b, -1)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -476,7 +389,7 @@ def field_create(p: int, m: int) -> ExtField:
 
 
 # ---------------------------------------------------------------------------
-# roots in GF(p^m) of polynomials over GF(p)
+# polynomials over a field: factor counts over GF(p), roots in GF(p^m)
 # ---------------------------------------------------------------------------
 
 def _fpoly_divmod(a, f, field: ExtField):
@@ -501,13 +414,51 @@ def _fpoly_mulmod(a, b, f, field: ExtField):
     return _fpoly_divmod(out, f, field)[1]
 
 
+def _fpoly_powmod(base, e, f, field: ExtField):
+    """base^e mod a monic f over the field; [] when that is zero."""
+    acc, cur = [1], _fpoly_divmod(base, f, field)[1]
+    while e:
+        if e & 1:
+            acc = _fpoly_mulmod(acc, cur, f, field)
+        cur = _fpoly_mulmod(cur, cur, f, field)
+        e >>= 1
+    return acc
+
+
 def _fpoly_gcd(a, b, field: ExtField):
-    """Monic gcd over the field; b must be nonzero."""
+    """Monic gcd over the field, for b nonzero or a monic."""
     while b:
         inv = field.inv(b[-1])
         b = [field.mul(ci, inv) for ci in b]
         a, b = b, _fpoly_divmod(a, b, field)[1]
     return a
+
+
+def _x_power_gcd(f, e, p):
+    """gcd(f, X^e - X) over GF(p), monic, for f monic and e a power of p."""
+    if len(f) <= 2:  # 1, or X - r with r in GF(p), where r^e = r
+        return f
+    prime = _shared_field(p, 1)
+    w = _fpoly_powmod([0, 1], e, f, prime) + [0, 0]  # room for the X term
+    w[1] = prime.sub(w[1], 1)
+    return _fpoly_gcd(f, _poly_trim(w), prime)
+
+
+def irreducible_factor_count(coeffs, p: int, d: int) -> int:
+    """Number of distinct monic irreducible factors of degree d over GF(p)
+    of a nonzero polynomial (coefficients low first), by distinct-degree
+    factorization: gcd(f, X^(p^i) - X) is the product of the distinct
+    irreducible factors of f whose degree divides i, so its degree is
+    sum over e | i of e N_e.  Repeated factors count once."""
+    if d < 1:
+        raise MalformedInput(f"factor degree must be >= 1, got {d}")
+    f = _poly_monic(coeffs, p)
+    counts: dict[int, int] = {}
+    for i in range(1, d + 1):
+        if d % i == 0:
+            deg = len(_x_power_gcd(f, p ** i, p)) - 1
+            counts[i] = (deg - sum(e * n for e, n in counts.items() if i % e == 0)) // i
+    return counts[d]
 
 
 def _split_roots(h, field: ExtField, out: set):
@@ -522,14 +473,8 @@ def _split_roots(h, field: ExtField, out: set):
         return
     half = (field.q - 1) // 2
     for d in range(field.q):
-        w, cur, e = [1], [d, 1], half
-        while e:
-            if e & 1:
-                w = _fpoly_mulmod(w, cur, h, field)
-            cur = _fpoly_mulmod(cur, cur, h, field)
-            e >>= 1
-        w = _poly_trim([field.sub(w[0] if w else 0, 1), *w[1:]])
-        g = _fpoly_gcd(h, w, field) if w else h
+        w = _fpoly_powmod([d, 1], half, h, field) or [0]
+        g = _fpoly_gcd(h, _poly_trim([field.sub(w[0], 1), *w[1:]]), field)
         if 1 < len(g) < len(h):
             _split_roots(g, field, out)
             _split_roots(_fpoly_divmod(h, g, field)[0], field, out)

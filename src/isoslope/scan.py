@@ -404,15 +404,13 @@ class ReportWriter:
 
     Heads and violations are flat (string keys; scalar or scalar-list
     values) and are rendered directly, since json.dumps with indent set runs
-    CPython's pure-Python encoder: one layout of key heads per shape, and
-    the text of each scalar list memoised on its element types as well as
-    its values, since (True,) == (1,)."""
+    CPython's pure-Python encoder, with one layout of key heads per
+    shape."""
 
     def __init__(self, spec: FamilySpec, stream):
         self.points = 0
         self._put = stream.write
         self._layouts: dict[tuple, list] = {}
-        self._lists: dict = {}
         self._put(f'{{\n  "family": {_render_header(_family_payload(spec))},\n'
                   f'  "records": ')
 
@@ -425,14 +423,8 @@ class ReportWriter:
         fields = []
         for key, head in layout:
             v = rec[key]
-            if type(v) is list:
-                memo = (tuple(v), tuple(map(type, v)))
-                text = self._lists.get(memo)
-                if text is None:
-                    text = self._lists[memo] = _render_scalar_list(v)
-            else:
-                text = _render_scalar(v)
-            fields.append(head + text)
+            fields.append(head + (_render_scalar_list(v) if type(v) is list
+                                  else _render_scalar(v)))
         return "{" + ",".join(fields) + _ITEM_END if fields else "{}"
 
     def _put_item(self, text: str, index: int):
@@ -563,11 +555,11 @@ class _Checkpoint:
         self._served[(*value[1:4], rec["x_dlog"])] = (head, rec["x"], lineno)
 
     def serve(self, datum: HypergeometricDatum, degree: int, x: int, x_dlog: int,
-              flags: tuple[bool, bool] | None) -> _Head | None:
+              flags: tuple[bool, bool]) -> _Head | None:
         """The head of the loaded line at the point (x, x_dlog) of this
-        degree, or None if no line holds it.  flags, unless None, are the
-        point's u_c_zero and u_cdual_zero as the root sets give them, and
-        the line must carry them."""
+        degree, or None if no line holds it.  flags are the point's u_c_zero
+        and u_cdual_zero as the root sets give them, and the line must carry
+        them."""
         entry = self._served.get((datum.p, datum.c, degree, x_dlog))
         if entry is None:
             return None
@@ -577,7 +569,7 @@ class _Checkpoint:
                 f"{self._path}:{lineno}: checkpoint line has x = {served_x}, "
                 f"but the element at x_dlog {x_dlog} is {x}")
         carried = head.fields["u_c_zero"], head.fields["u_cdual_zero"]
-        if flags not in (None, carried):
+        if flags != carried:
             raise MalformedInput(
                 f"{self._path}:{lineno}: checkpoint line has (u_c_zero, u_cdual_zero) "
                 f"= {carried}, but the root sets give {flags}")
@@ -603,21 +595,22 @@ def scan_family(spec: FamilySpec, checkpoint: str | None = None,
     in ascending (p, c) and, within a datum, points in ascending (degree,
     dlog), so the records come sorted by (p, c, degree, x_dlog).
 
-    Each point's record is a head (see _Head) plus its x and x_dlog.  At
-    rank n <= FAST_PATH_MAX_RANK only the datum's degenerate points can
-    leave the generic fast path.  Their root sets, of u and of the dual's u
-    (hyper.degeneracy_loci, by factoring), are found once per (datum,
-    degree), resumed or not.  A point in them is served from the checkpoint
-    if a line holds it with the degeneracy flags the sets give; otherwise
-    it goes through slopes_at_point, which must give it those flags off the
-    fast path, and its record is appended to the checkpoint.  The first
-    point outside them goes through slopes_at_point too, which must take
-    the fast path; its head depends on the datum and the degree alone, so
-    the later points of that degree outside the sets reuse it with no call.
-    Such points are never looked up in the checkpoint nor added to it.  So
-    hyper keeps the one definition of the fast path, and the scan checks
-    its root sets against it.  At a higher rank every point is served from
-    the checkpoint or goes through slopes_at_point and into it.
+    Each point's record is a head (see _Head) plus its x and x_dlog.  The
+    root sets of u and of the dual's u (hyper.degeneracy_loci, by
+    factoring) are found once per (datum, degree), resumed or not, and give
+    every point its degeneracy flags: a served line must carry them, and so
+    must every report slopes_at_point computes.  At rank n <=
+    FAST_PATH_MAX_RANK only the points in the sets can leave the generic
+    fast path.  Such a point is served from the checkpoint if a line holds
+    it; otherwise it goes through slopes_at_point, which must compute it
+    off the fast path, and its record is appended to the checkpoint.  The
+    first point outside them goes through slopes_at_point too, which must
+    take the fast path; its head depends on the datum and the degree alone,
+    so the later points of that degree outside the sets reuse it with no
+    call.  Such points are never looked up in the checkpoint nor added to
+    it.  So hyper keeps the one definition of the fast path, and the scan
+    checks its root sets against it.  At a higher rank every point is
+    served from the checkpoint or goes through slopes_at_point and into it.
 
     Each point is handed to the writer (a ReportWriter, or anything with
     its write_point(head, x, x_dlog) and close(datum_count, violations)) as
@@ -643,19 +636,18 @@ def scan_family(spec: FamilySpec, checkpoint: str | None = None,
             first = len(violations)
             for degree in range(1, spec.m_max + 1):
                 field = field_create(datum.p, degree)
-                loci = degeneracy_loci(datum, field) \
-                    if datum.n <= FAST_PATH_MAX_RANK else None
+                loci = degeneracy_loci(datum, field)
                 fast_head = None
                 for pt in closed_points(field):
                     x, x_dlog = pt.x, pt.dlog
-                    flags = None if loci is None else (x in loci[0], x in loci[1])
-                    fast = flags == (False, False)
+                    flags = x in loci[0], x in loci[1]
+                    fast = flags == (False, False) and datum.n <= FAST_PATH_MAX_RANK
                     head = fast_head if fast else \
                         store.serve(datum, degree, x, x_dlog, flags)
                     if head is None:
                         report = slopes_at_point(datum, pt)
                         got = report.degenerate, report.dual_degenerate
-                        if report.fast_path != fast or flags not in (None, got):
+                        if report.fast_path != fast or flags != got:
                             raise AssertionError(
                                 f"p = {datum.p}, c = {datum.c}, degree {degree}, "
                                 f"x = {x}: the root sets give fast_path {fast} and "

@@ -14,6 +14,8 @@ isoslope.convolution.cyclic_convolve is checked against, and
 checkpoint_served_per_line the line-by-line checkpoint load, written apart
 from it, that isoslope.scan._Checkpoint is checked against; fast_path_lines
 gives what a checkpoint of the all-points format held beyond today's.
+first_irreducible_by_trial_division finds a field's modulus by trial
+division, with no gcd and no power of X.
 
 This module needs numpy, a test dependency, and so lives with the tests
 rather than in the package.
@@ -22,6 +24,7 @@ rather than in the package.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 
 import numpy as np
@@ -181,6 +184,28 @@ def cyclic_convolve_schoolbook(a, b, modulus: int):
                     k -= n
                 out[k] += ai * bj
     return [v % modulus for v in out]
+
+
+def first_irreducible_by_trial_division(p: int, m: int) -> tuple[int, ...]:
+    """The first monic polynomial of degree m over GF(p) (coefficients low
+    first) that no monic polynomial of degree 1 .. m/2 divides, in the order
+    that reads its low coefficients as the base-p digits of 0, 1, 2, ..."""
+
+    def divides(g, f):
+        rem = list(f)
+        for top in range(len(f) - 1, len(g) - 2, -1):
+            lead = rem[top]
+            for i, gi in enumerate(g):  # g monic: this clears rem[top]
+                rem[top - len(g) + 1 + i] = (rem[top - len(g) + 1 + i] - lead * gi) % p
+        return not any(rem)
+
+    divisors = [[*low, 1] for d in range(1, m // 2 + 1)
+                for low in itertools.product(range(p), repeat=d)]
+    for k in range(p ** m):
+        f = [k // p ** i % p for i in range(m)] + [1]
+        if not any(divides(g, f) for g in divisors):
+            return tuple(f)
+    raise AssertionError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
 def checkpoint_served_per_line(path: str) -> dict[tuple, tuple[dict, int, int]]:

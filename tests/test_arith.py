@@ -8,6 +8,7 @@ mod 49 is 30 since 30 = 2 mod 7 and 30^3 = 27000 = 1 mod 49.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,16 +20,16 @@ from isoslope.arith import (
     ExtField,
     PadicResidue,
     Valuation,
-    _poly_gcd,
-    _poly_monic,
-    _poly_powmod,
+    _fpoly_gcd,
+    _fpoly_powmod,
+    _poly_trim,
     _x_power_gcd,
     embed_element,
+    factorize,
     field_create,
     irreducible_factor_count,
     is_prime,
     norm,
-    poly_add_mod_p,
     roots_in_field,
     teichmuller,
     teichmuller_table,
@@ -39,6 +40,7 @@ from isoslope.errors import (
     MalformedInput,
     PrecisionMismatch,
 )
+from reference import first_irreducible_by_trial_division
 
 SMALL_PRIMES = (3, 5, 7, 11, 13, 31)
 
@@ -370,13 +372,58 @@ def test_irreducible_factor_count_frozen_values():
 def test_x_power_gcd_of_a_linear_polynomial_is_itself():
     # the shortcut equals the gcd it skips: X - r divides X^(p^k) - X
     for p in (3, 5, 7):
+        prime = field_create(p, 1)
         for r in range(p):
             f = [-r % p, 1]
             for k in (1, 2, 3):
-                xe = _poly_powmod([0, 1], p ** k, f, p)
-                full = _poly_monic(_poly_gcd(f, poly_add_mod_p(xe, [0, p - 1], p), p), p)
+                xe = _fpoly_powmod([0, 1], p ** k, f, prime) + [0, 0]
+                xe[1] = prime.sub(xe[1], 1)
+                full = _fpoly_gcd(f, _poly_trim(xe), prime)
                 assert _x_power_gcd(f, p ** k, p) == f == full
     assert _x_power_gcd([1], 5, 5) == [1]
+
+
+# every field with p <= 13 and at most 2^14 elements
+ORACLE_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(1, 15)
+                 if p ** m <= 1 << 14]
+
+
+@pytest.mark.parametrize("p, m", ORACLE_FIELDS)
+def test_modulus_is_the_first_irreducible_by_trial_division(p, m):
+    assert field_create(p, m).modulus == first_irreducible_by_trial_division(p, m)
+
+
+def _moebius(n):
+    out = 1
+    for e in factorize(n).values():
+        if e > 1:
+            return 0
+        out = -out
+    return out
+
+
+@pytest.mark.parametrize("p, m", [(p, m) for p in (2, 3, 5, 7, 11, 13) for m in range(1, 9)
+                                  if p ** m <= 256])
+def test_irreducible_count_of_every_monic_polynomial_is_gauss_formula(p, m):
+    # a monic f of degree m is irreducible iff its degree-m factor count is 1
+    expected = sum(_moebius(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+    found = sum(irreducible_factor_count([*low, 1], p, m) == 1
+                for low in itertools.product(range(p), repeat=m))
+    assert found == expected
+
+
+def test_factor_counts_of_polynomials_that_x_divides():
+    # X^e = 0 mod X^2 for e >= 2, so X^e - X leaves -X and the gcd is X
+    for p in (3, 5, 7):
+        assert _fpoly_powmod([0, 1], p, [0, 0, 1], field_create(p, 1)) == []
+        assert _x_power_gcd([0, 0, 1], p, p) == [0, 1]
+        assert [irreducible_factor_count([0, 0, 1], p, d) for d in (1, 2)] == [1, 0]
+    # X (X + 1)^2 over GF(5): two distinct linear factors, each counted once
+    f = [0, 1, 2, 1]
+    assert _x_power_gcd(f, 5, 5) == [0, 1, 1]
+    assert _x_power_gcd(f, 25, 5) == [0, 1, 1]
+    assert [irreducible_factor_count(f, 5, d) for d in (1, 2, 3)] == [2, 0, 0]
+    assert roots_in_field(field_create(5, 2), f) == {0, 4}
 
 
 def test_roots_in_field_refusals():

@@ -284,16 +284,17 @@ def test_a_checkpoint_of_every_point_resumes_to_the_same_bytes(tmp_path, capsys,
     assert path.read_bytes() == body
 
 
-def test_a_root_point_line_with_other_flags_is_refused(tmp_path, capsys):
-    # c3 = 1 at p = 5 has a top-gap point and a bottom-gap point; the first
-    # given the other's head keeps every invariant of its slopes, but not
-    # the flags the root sets give its point
+def _assert_a_line_with_the_other_flags_is_refused(tmp_path, capsys, family):
+    # the first root point given the other's head keeps every invariant of
+    # its slopes, but not the flags the root sets give its point
     path = tmp_path / "scan.ndjson"
-    argv = ["scan", "--family", "triplegap", "--p-range", "5..5", "--checkpoint", str(path)]
+    argv = ["scan", *family, "--checkpoint", str(path)]
     assert main(argv) == 0
     capsys.readouterr()
     recs = [json.loads(ln) for ln in path.read_bytes().splitlines()]
-    index, other = [i for i, rec in enumerate(recs) if rec["c"] == [1, 1, 3]]
+    index = next(i for i, rec in enumerate(recs) if rec["u_c_zero"])
+    other = next(i for i, rec in enumerate(recs)
+                 if rec["u_cdual_zero"] and rec["c"] == recs[index]["c"])
     flags = recs[index]["u_c_zero"], recs[index]["u_cdual_zero"]
     recs[index].update({key: recs[other][key] for key in _HEAD_FIELDS})
     forged = recs[index]["u_c_zero"], recs[index]["u_cdual_zero"]
@@ -305,6 +306,19 @@ def test_a_root_point_line_with_other_flags_is_refused(tmp_path, capsys):
     assert out == "" and f"{path}:{index + 1}: checkpoint line has (u_c_zero, " \
         f"u_cdual_zero) = {forged}, but the root sets give {flags}" in err
     assert path.read_bytes() == body
+
+
+def test_a_root_point_line_with_other_flags_is_refused(tmp_path, capsys):
+    # c3 = 1 at p = 5 has a top-gap point and a bottom-gap point
+    _assert_a_line_with_the_other_flags_is_refused(
+        tmp_path, capsys, ["--family", "triplegap", "--p-range", "5..5"])
+
+
+def test_a_rank_4_line_with_other_flags_is_refused(tmp_path, capsys):
+    # every point is checkpointed at rank 4; x = 3 has u_c_zero true and
+    # x = 4 has u_cdual_zero true
+    _assert_a_line_with_the_other_flags_is_refused(
+        tmp_path, capsys, ["--family", "explicit", "--c", "1,1,1,2", "--p-range", "7..7"])
 
 
 # the isoslope CLI with a checkpoint that stops the scan, as if it hung,

@@ -921,10 +921,22 @@ _LOCI_LIES = {
 }
 
 
-@pytest.mark.parametrize("lie", _LOCI_LIES)
-def test_scan_refuses_a_root_set_that_disagrees_with_the_fast_path(monkeypatch, lie):
+_LOCI_SCANS = {
+    "triplegap": FamilySpec("triplegap", 5, 5),
+    # rank 4, where no point takes the fast path but every computed report
+    # must carry the flags the sets give.  The quintic is self-dual, so
+    # swapping its sets is no lie; c = (1, 1, 1, 2) at p = 7 is not.
+    "quintic": FamilySpec("quintic", 31, 31),
+    "rank-4": FamilySpec("explicit", 7, 7, c=(1, 1, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("lie, family", [
+    pytest.param(lie, family, id=lie if family == "triplegap" else f"{lie}-{family}")
+    for family in _LOCI_SCANS for lie in _LOCI_LIES if (lie, family) != ("swapped", "quintic")])
+def test_scan_refuses_a_root_set_that_disagrees_with_the_fast_path(monkeypatch, lie, family):
     real = scan_module.degeneracy_loci
     monkeypatch.setattr(scan_module, "degeneracy_loci",
                         lambda datum, field: _LOCI_LIES[lie](real(datum, field), field.q))
     with pytest.raises(AssertionError, match="fast_path"):
-        scan_family(FamilySpec("triplegap", 5, 5))
+        scan_family(_LOCI_SCANS[family])
