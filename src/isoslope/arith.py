@@ -124,12 +124,29 @@ def _poly_monic(a, p):
     return [ci * inv % p for ci in a]
 
 
+def poly_mulmod(a, b, f, modulus: int) -> list[int]:
+    """a b mod the monic f of degree m, a and b of m coefficients mod
+    `modulus`: a schoolbook product reduced by X^m = -(f - X^m)."""
+    m = len(f) - 1
+    out = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    for top in range(2 * m - 2, m - 1, -1):
+        lead = out[top] % modulus
+        if lead:
+            for i in range(m):
+                out[top - m + i] -= lead * f[i]
+    return [c % modulus for c in out[:m]]
+
+
 # ---------------------------------------------------------------------------
 # the extension field
 # ---------------------------------------------------------------------------
 
-def _checked_field_size(p: int, m: int) -> int:
-    """p^m, after checking p, m and the table limit."""
+def check_table_size(p: int, m: int, table: str = "the field tables") -> int:
+    """p^m, after checking p, m and p^m against the table limit."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if m < 1:
@@ -138,7 +155,7 @@ def _checked_field_size(p: int, m: int) -> int:
     q = p ** m
     if q > limit:
         raise DegreeTooLarge(
-            f"GF({p}^{m}) has {q} elements, over the table limit {limit}"
+            f"GF({p}^{m}) has {q} elements, over the table limit {limit}", table
         )
     return q
 
@@ -156,7 +173,7 @@ class ExtField:
     """
 
     def __init__(self, p: int, m: int):
-        q = _checked_field_size(p, m)
+        q = check_table_size(p, m)
         self.p = p
         self.m = m
         self.q = q
@@ -192,21 +209,10 @@ class ExtField:
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Product via polynomial arithmetic; independent of the dlog tables."""
-        p, m, f = self.p, self.m, self.modulus
-        if m == 1:
-            return a * b % p
-        prod = [0] * (2 * m - 1)
-        db = self._digits_of(b)
-        for i, ai in enumerate(self._digits_of(a)):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] += ai * bj
-        for top in range(2 * m - 2, m - 1, -1):  # X^m = -(f - X^m)
-            lead = prod[top] % p
-            if lead:
-                for i in range(m):
-                    prod[top - m + i] -= lead * f[i]
-        return self._encode([c % p for c in prod[:m]])
+        if self.m == 1:
+            return a * b % self.p
+        return self._encode(
+            poly_mulmod(self._digits_of(a), self._digits_of(b), self.modulus, self.p))
 
     def _pow_raw(self, a: int, e: int) -> int:
         acc, cur = 1, a
@@ -384,7 +390,7 @@ _shared_field = functools.cache(ExtField)
 def field_create(p: int, m: int) -> ExtField:
     """GF(p^m), built once per (p, m).  The table limit is checked on every
     call, so a lowered limit refuses a field that is already built."""
-    _checked_field_size(p, m)
+    check_table_size(p, m)
     return _shared_field(p, m)
 
 
@@ -434,12 +440,10 @@ def _fpoly_gcd(a, b, field: ExtField):
     return a
 
 
-def _x_power_gcd(f, e, p):
-    """gcd(f, X^e - X) over GF(p), monic, for f monic and e a power of p."""
-    if len(f) <= 2:  # 1, or X - r with r in GF(p), where r^e = r
-        return f
+def _x_power_gcd(f, w, p):
+    """gcd(f, w - X) over GF(p), monic, for f monic and w = X^(p^i) mod f."""
     prime = _shared_field(p, 1)
-    w = _fpoly_powmod([0, 1], e, f, prime) + [0, 0]  # room for the X term
+    w = w + [0, 0]  # room for the X term
     w[1] = prime.sub(w[1], 1)
     return _fpoly_gcd(f, _poly_trim(w), prime)
 
@@ -449,14 +453,19 @@ def irreducible_factor_count(coeffs, p: int, d: int) -> int:
     of a nonzero polynomial (coefficients low first), by distinct-degree
     factorization: gcd(f, X^(p^i) - X) is the product of the distinct
     irreducible factors of f whose degree divides i, so its degree is
-    sum over e | i of e N_e.  Repeated factors count once."""
+    sum over e | i of e N_e, X^(p^i) being the p-th power of X^(p^(i-1)).
+    Repeated factors count once."""
     if d < 1:
         raise MalformedInput(f"factor degree must be >= 1, got {d}")
     f = _poly_monic(coeffs, p)
+    if len(f) <= 2:  # 1, or X - r with r in GF(p)
+        return int(d == 1 and len(f) == 2)
     counts: dict[int, int] = {}
+    w = [0, 1]
     for i in range(1, d + 1):
+        w = _fpoly_powmod(w, p, f, _shared_field(p, 1))
         if d % i == 0:
-            deg = len(_x_power_gcd(f, p ** i, p)) - 1
+            deg = len(_x_power_gcd(f, w, p)) - 1
             counts[i] = (deg - sum(e * n for e, n in counts.items() if i % e == 0)) // i
     return counts[d]
 
@@ -493,7 +502,8 @@ def roots_in_field(field: ExtField, coeffs) -> frozenset[int]:
     if field.p == 2:
         raise MalformedInput("root splitting needs an odd characteristic")
     out: set[int] = set()
-    h = _x_power_gcd(_poly_monic(coeffs, field.p), field.q, field.p)
+    u, prime = _poly_monic(coeffs, field.p), _shared_field(field.p, 1)
+    h = u if len(u) <= 2 else _x_power_gcd(u, _fpoly_powmod([0, 1], field.q, u, prime), field.p)
     if len(h) > 1:
         _split_roots(h, field, out)
     return frozenset(out)
@@ -625,37 +635,23 @@ def teichmuller_table(p: int, precision: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# field embeddings (where a degree-m point's GF(p^m)* sits in GF(p^(mj))*)
+# field embeddings (where GF(p^m) sits in GF(p^(m j)))
 # ---------------------------------------------------------------------------
 
-def embed_generator_dlog(small: ExtField, big: ExtField) -> int:
-    """dlog (in `big`) of the image of small.generator under a field embedding.
-
-    Any embedding works: downstream sums are Frobenius-invariant.  X goes
-    to the first root r of small's modulus among the units of the copy of
-    GF(q_small) in big, the powers of g^((Q-1)/(q_small-1)); the
-    generator, a polynomial in X, goes to its value at r.
-    """
+def embed_element(small: ExtField, big: ExtField, x: int) -> int:
+    """Image of x in the bigger field: X goes to the first root r of
+    small's modulus among the powers of g^((Q-1)/(q_small-1)), and x, a
+    polynomial in X, to its value at r.  Only the tests call it; it stays
+    because the benchmark's tracer (perfbench/tracer.py) wraps it by name."""
     if small.p != big.p or big.m % small.m != 0:
         raise FieldMismatch(
             f"no embedding GF({small.p}^{small.m}) -> GF({big.p}^{big.m})"
         )
     if small.m in (1, big.m):
-        return big.dlog[small.generator]
+        return x
     stride = (big.q - 1) // (small.q - 1)
     for u in range(small.q - 1):
         r = big.exp[u * stride]
         if big.eval_poly(small.modulus, r) == 0:
-            return big.dlog[big.eval_poly(small._digits_of(small.generator), r)]
+            return big.eval_poly(small._digits_of(x), r)
     raise AssertionError("no embedding found")  # pragma: no cover
-
-
-def embed_element(small: ExtField, big: ExtField, x: int) -> int:
-    """Image of x in the bigger field under embed_generator_dlog's embedding.
-
-    Only the tests call it, but it stays in the package: the benchmark's
-    tracer (perfbench/tracer.py) wraps it by this name."""
-    if x == 0:
-        return 0
-    t = embed_generator_dlog(small, big)
-    return big.exp[(small.dlog[x] * t) % (big.q - 1)]

@@ -8,10 +8,8 @@ rationals travel as "num/den" strings, never floats.
 Exit codes: 0 success; 2 a mathematically well-posed request the library
 refused (precision, strategy, dominance...), reported as structured JSON on
 stdout; 64 malformed usage.  The environment variable ISOSLOPE_TABLE_LIMIT
-caps the dlog table size for extension fields, and the length p^N of the
-Gamma_p table that degree-1 traces at precision N are read from; a degree-1
-trace over the second cap reads a trace table instead, so only a field over
-the limit exits 2.
+caps the tables a request may build: GF(p^m) for its points and the orbit
+tables of Z/(p^(m j) - 1) for its traces; a request over it exits 2.
 """
 
 from __future__ import annotations

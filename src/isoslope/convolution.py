@@ -3,13 +3,12 @@
 cyclic_convolve packs each sequence into one decimal.Decimal with fixed-width
 decimal slots, wide enough that no cyclic output coefficient (a sum of n
 products below modulus^2) can overflow its slot, and multiplies the two in
-an unbounded-precision libmpdec context.  libmpdec switches from Karatsuba
-to a number-theoretic transform for large operands, so the multiply is
-quasi-linear.  The product's upper n slots are added onto its lower n (the
-cyclic fold, done on the decimals), and the slots are read back from one
-decimal string.  This needs the C decimal module: under the pure-Python
-_pydecimal the multiply is quadratic.  The independent oracle the tests
-compare it with, a schoolbook loop, lives with the tests (tests/reference.py).
+an unbounded-precision libmpdec context, whose number-theoretic transform
+makes the multiply quasi-linear (under the pure-Python _pydecimal it is
+quadratic).  The product's upper n slots are added onto its lower n, and the
+slots are read back from one decimal string.  No trace runs through it: the
+tests fold their trace-table oracle (tests/reference.py) with it and check it
+against a schoolbook loop, and the benchmark's tracer wraps it by name.
 """
 
 from __future__ import annotations

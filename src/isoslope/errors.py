@@ -19,7 +19,11 @@ class NotPrime(MalformedInput):
 
 
 class DegreeTooLarge(IsoslopeError):
-    """Field size exceeds the configured enumeration table limit."""
+    """A table would exceed the configured table limit; .table names it."""
+
+    def __init__(self, message, table=None):
+        super().__init__(message)
+        self.table = table
 
 
 class FieldMismatch(IsoslopeError):

@@ -9,11 +9,9 @@ sum to n(n-1)/2.
 
 The pipeline: power traces over GF(p^(m j)) (tuple sums weighted by
 Teichmueller characters), then the power-sum recursion
-b_r = -(1/r) sum b_i T_{r-i}, then a certified Newton polygon.  A degree-1
-point takes its traces from Jacobi sums read off a Gamma_p table (gauss.py)
-when p^j and p^N are within the table limit; every other point reads the
-slice of a GF(p^(m j)) trace table, folded by cyclic convolution in the
-dlog index domain, at the embedded units of GF(p^m).
+b_r = -(1/r) sum b_i T_{r-i}, then a certified Newton polygon.  Every
+trace comes from Jacobi sums by Gross-Koblitz (gauss.py), at any degree
+and precision.
 Coefficients the chosen strategy does not reach are filled in from the
 determinant twist (v(b_n) = m n(n-1)/2 exactly) and, for (anti)self-dual
 pairs, from the reciprocal-root symmetry gamma -> q^(n-1)/gamma, which
@@ -39,7 +37,6 @@ polygon and raises it only where the hull refuses.
 from __future__ import annotations
 
 import functools
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -48,16 +45,11 @@ from .arith import (
     ExtField,
     PadicResidue,
     Valuation,
-    embed_generator_dlog,
-    field_create,
     irreducible_factor_count,
     is_prime,
     norm,
     roots_in_field,
-    table_limit_from_env,
-    teichmuller_table,
 )
-from .convolution import cyclic_convolve
 from .coweight import RootDatum, dominance_leq
 from .errors import (
     DatumMismatch,
@@ -294,70 +286,6 @@ def closed_points(field: ExtField) -> list[PointSpec]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# trace tables (dlog domain), the subfield slices points read from them,
-# and the routing between those and the Jacobi-sum engine
-# ---------------------------------------------------------------------------
-
-@functools.cache
-def _norm_one_minus_table(field: ExtField) -> tuple[int, ...]:
-    """norm(1 - g^e) in GF(p), indexed by e; entry 0 (x = 1) is 0.
-
-    y - 1 borrows only when digit 0 of y is zero, and the norm of
-    1 - y = -(y - 1) is (-1)^m times that of y - 1, since
-    (q - 1)/(p - 1) = 1 + p + .. + p^(m-1) = m mod 2 for odd p (for p = 2
-    the sign is 1 either way).
-    """
-    p = field.p
-    sign = (-1) ** field.m
-    return tuple(sign * norm(field, y - 1 if y % p else y + p - 1) % p for y in field.exp)
-
-
-def _trace_table(datum: HypergeometricDatum, field: ExtField,
-                 precision: int) -> list[int]:
-    """Raw tuple sums indexed by target dlog, mod p^precision.
-
-    Entry e is sum over unit tuples with product g^e of prod char values;
-    no rank sign applied here.  The character row of c_i holds
-    tau(norm(1 - g^e))^c_i mod p^N at e, read through a length-p row of
-    tau(v)^c_i over the residues v, and the table is the left fold of the
-    rows of c by cyclic convolution.
-    """
-    p = datum.p
-    modulus = p ** precision
-    norms = _norm_one_minus_table(field)
-    tau = teichmuller_table(p, precision)
-
-    def char_row(c: int) -> list[int]:
-        row = [0] + [tau[pow(v, c, p)] for v in range(1, p)]
-        return [row[nm] for nm in norms]
-
-    acc = char_row(datum.c[0])
-    for ci in datum.c[1:]:
-        acc = cyclic_convolve(acc, char_row(ci), modulus)
-    return acc
-
-
-@functools.cache
-def _subfield_traces(datum: HypergeometricDatum, m: int, j: int,
-                     precision: int) -> array | tuple[int, ...]:
-    """Raw tuple sums over GF(p^(m j)) at the embedded units of GF(p^m),
-    indexed by dlog in GF(p^m), mod p^precision.
-
-    Entry k is the trace table's entry k t, g^t being the image of the
-    generator of GF(p^m); at j = 1 that is the whole table.  A degree-m
-    point reads no other entry, so the table is not kept.  The slice is an
-    array('q') when p^precision <= 2^63 and a tuple of ints otherwise;
-    the cache hands it to every caller, so callers only read it.
-    """
-    p = datum.p
-    small, big = field_create(p, m), field_create(p, m * j)
-    table = _trace_table(datum, big, precision)
-    t, order = embed_generator_dlog(small, big), big.q - 1
-    traces = [table[k * t % order] for k in range(small.q - 1)]
-    return array("q", traces) if p ** precision <= 2 ** 63 else tuple(traces)
-
-
 def frobenius_trace(datum: HypergeometricDatum, point: PointSpec, j: int,
                     precision: int) -> PadicResidue:
     """Trace of the j-th Frobenius power at the point, mod p^precision.
@@ -365,13 +293,7 @@ def frobenius_trace(datum: HypergeometricDatum, point: PointSpec, j: int,
     Equals (-1)^(n-1) times the tuple sum over GF(p^(m j)): the rank shift
     contributes the sign, so the raw sum itself is congruent mod p to
     (-1)^(n-1) N(u(x)) while the returned trace is congruent to N(u(x)).
-
-    A degree-1 point reads the sum from the Jacobi-sum engine (gauss.py)
-    when both p^j and p^precision, the length of its Gamma_p table, are
-    within the table limit; every other point reads its entry of the
-    cached subfield slice of the GF(p^(m j)) trace table.  The field size
-    is checked against the limit on every call, so a lowered limit refuses
-    a slice built earlier.
+    The sum comes from the Jacobi-sum engine (gauss.raw_trace).
     """
     if j < 1:
         raise MalformedInput(f"need j >= 1, got {j}")
@@ -380,12 +302,7 @@ def frobenius_trace(datum: HypergeometricDatum, point: PointSpec, j: int,
         raise DatumMismatch(
             f"point lives over GF({point.field.p}^{m}), datum has p = {p}"
         )
-    limit = table_limit_from_env()
-    if m == 1 and p ** j <= limit and p ** precision <= limit:
-        raw = raw_trace(p, datum.c, j, precision, point.x)
-    else:
-        field_create(p, m * j)  # the limit check, also for a cached slice
-        raw = _subfield_traces(datum, m, j, precision)[point.dlog]
+    raw = raw_trace(p, datum.c, point.field, j, precision, point.x)
     if datum.n % 2 == 0:
         raw = -raw
     return PadicResidue(p, precision, raw)

@@ -9,8 +9,11 @@ through an element product table built from multiplication-by-a matrices.
 Nothing below touches field.exp or field.dlog, so agreement between the two
 paths checks the whole dlog machinery against first principles.
 
-cyclic_convolve_schoolbook is the quadratic loop that
-isoslope.convolution.cyclic_convolve is checked against, and
+trace_table and subfield_traces are the Jacobi-sum engine's oracle: the
+GF(p^f) trace table as the fold of the character rows of c by
+isoslope.convolution.cyclic_convolve in the dlog domain, and its entries
+at the embedded units of GF(p^m).  cyclic_convolve_schoolbook is the
+quadratic loop that cyclic_convolve is checked against, and
 checkpoint_served_per_line the line-by-line checkpoint load, written apart
 from it, that isoslope.scan._Checkpoint is checked against; fast_path_lines
 gives what a checkpoint of the all-points format held beyond today's.
@@ -29,7 +32,8 @@ import json
 
 import numpy as np
 
-from isoslope.arith import ExtField, teichmuller_table
+from isoslope.arith import ExtField, embed_element, field_create, norm, teichmuller_table
+from isoslope.convolution import cyclic_convolve
 from isoslope.errors import DegreeTooLarge, IsoslopeError, MalformedInput
 from isoslope.scan import _Head, _check_outcome, _head_value, _is_point_record
 
@@ -168,6 +172,56 @@ def trace_sum_at(c: tuple[int, ...], field: ExtField, x: int, precision: int,
 
     rec(0, 1, 1)
     return total
+
+
+@functools.cache
+def norm_one_minus_table(field: ExtField) -> tuple[int, ...]:
+    """norm(1 - g^e) in GF(p), indexed by e; entry 0 (x = 1) is 0.
+
+    y - 1 borrows only when digit 0 of y is zero, and the norm of
+    1 - y = -(y - 1) is (-1)^m times that of y - 1, since
+    (q - 1)/(p - 1) = 1 + p + .. + p^(m-1) = m mod 2 for odd p (for p = 2
+    the sign is 1 either way).
+    """
+    p = field.p
+    sign = (-1) ** field.m
+    return tuple(sign * norm(field, y - 1 if y % p else y + p - 1) % p for y in field.exp)
+
+
+def trace_table(c: tuple[int, ...], field: ExtField, precision: int) -> list[int]:
+    """Raw tuple sums of c over the field indexed by target dlog, mod
+    p^precision, with no rank sign.
+
+    The character row of c_i holds tau(norm(1 - g^e))^c_i mod p^N at e,
+    read through a length-p row of tau(v)^c_i over the residues v, and the
+    table is the left fold of the rows of c by cyclic convolution.
+    """
+    p = field.p
+    modulus = p ** precision
+    norms = norm_one_minus_table(field)
+    tau = teichmuller_table(p, precision)
+
+    def char_row(ci: int) -> list[int]:
+        row = [0] + [tau[pow(v, ci, p)] for v in range(1, p)]
+        return [row[nm] for nm in norms]
+
+    acc = char_row(c[0])
+    for ci in c[1:]:
+        acc = cyclic_convolve(acc, char_row(ci), modulus)
+    return acc
+
+
+@functools.cache
+def subfield_traces(c: tuple[int, ...], p: int, m: int, j: int,
+                    precision: int) -> tuple[int, ...]:
+    """Raw tuple sums of c over GF(p^(m j)) at the embedded units of
+    GF(p^m), indexed by dlog in GF(p^m), mod p^precision: entry k is the
+    trace table's entry k t, g^t being the image of the generator of
+    GF(p^m)."""
+    small, big = field_create(p, m), field_create(p, m * j)
+    table = trace_table(c, big, precision)
+    t = big.dlog[embed_element(small, big, small.generator)]
+    return tuple(table[k * t % (big.q - 1)] for k in range(small.q - 1))
 
 
 def cyclic_convolve_schoolbook(a, b, modulus: int):

@@ -149,8 +149,8 @@ def test_criterion_3_trace_engine_equivalence():
     _verdict(3, "trace engine equivalence", ok,
              f"659 datums (p<=13, n<=3), fields up to degree 3: vectorized "
              f"enumeration == +-N(u(x)) mod p at {unit_checks} units, == "
-             f"Jacobi-sum engine (degree 1, j = 1, 2, 3) and trace tables "
-             f"(degree 2, 3) at {point_checks} closed-point/Frobenius-power "
+             f"Jacobi-sum engine (degree 1 at j = 1, 2, 3; degree 2, 3 at "
+             f"j = 1) at {point_checks} closed-point/Frobenius-power "
              f"pairs, {spot_checks} literal tuple-sum spot checks; "
              f"mismatches={bad}; {dt:.1f}s")
 

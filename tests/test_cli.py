@@ -172,7 +172,8 @@ def test_table_limit_env(capsys, monkeypatch):
 def test_a_frobenius_power_over_the_limit_still_exits_2(capsys, monkeypatch):
     # 13^2 <= 200 < 13^3: traces j = 1, 2 at precision 1 fit the limit
     # (the Jacobi-sum engine needs a Gamma_p table of 13 entries), but the
-    # j = 3 trace of the full strategy needs GF(13^3), which is refused
+    # j = 3 trace of the full strategy needs orbit tables of Z/(13^3 - 1),
+    # which are refused
     monkeypatch.setenv("ISOSLOPE_TABLE_LIMIT", "200")
     code, out, _ = run(capsys, "slopes", "--p", "13", "--c", "1,5,7,11",
                        "--strategy", "full", "--precision", "1", "--x", "2")

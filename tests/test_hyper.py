@@ -39,9 +39,6 @@ from isoslope.hyper import (
     HypergeometricDatum,
     SlopeReport,
     _assert_report_sane,
-    _norm_one_minus_table,
-    _subfield_traces,
-    _trace_table,
     auto_precision,
     char_poly_valuations,
     closed_points,
@@ -262,7 +259,7 @@ def test_trace_element_domain_reference_table():
 ] + [(13, 4), (131, 2), (7, 1), (1009, 1)])
 def test_norm_one_minus_table_matches_field_arithmetic(p, m):
     f = field_create(p, m)
-    assert _norm_one_minus_table(f) == \
+    assert reference.norm_one_minus_table(f) == \
         tuple(norm(f, f.sub(1, f.exp[e])) for e in range(f.q - 1))
 
 
@@ -271,10 +268,9 @@ def test_trace_tables_are_reused_across_points():
     # degenerate points (roots of u_c = 1 + 8X and u_c' = 1 + 3X) are 8 and
     # 4; each takes dualpair traces over GF(13) and GF(13^2), which the
     # Jacobi-sum engine serves from one residue-class vector per datum and
-    # field, with no trace table
+    # field
     d = HypergeometricDatum(13, (1, 11, 4))
     f = field_create(13, 1)
-    slices = _subfield_traces.cache_info()
     first = slopes_at_point(d, point_spec(f, 8))
     assert first.degenerate and not first.fast_path
     before = gauss.residue_sums.cache_info()
@@ -283,7 +279,6 @@ def test_trace_tables_are_reused_across_points():
     after = gauss.residue_sums.cache_info()
     assert after.misses == before.misses
     assert after.hits > before.hits
-    assert _subfield_traces.cache_info() == slices
 
 
 def _schoolbook_table(datum, field, precision):
@@ -324,13 +319,12 @@ def test_self_dual_split(p, c, part, rest):
     small = field_create(p, 1)
     for f in (1, 2):
         big = field_create(p, f)
-        tables = [_trace_table(HypergeometricDatum(p, sub), big, precision)
-                  for sub in (part, rest) if sub]
+        tables = [reference.trace_table(sub, big, precision) for sub in (part, rest) if sub]
         table = tables[0] if len(tables) == 1 else \
             cyclic_convolve_schoolbook(*tables, p ** precision)
         for x in range(1, p):
             y = embed_element(small, big, x)
-            assert gauss.raw_trace(p, c, f, precision, x) == table[big.dlog[y]]
+            assert gauss.raw_trace(p, c, small, f, precision, x) == table[big.dlog[y]]
 
 
 _SHARED_PART_DATUMS = [
@@ -343,17 +337,18 @@ _SHARED_PART_DATUMS = [
                          ids=[f"{p}-{c}" for p, c in _SHARED_PART_DATUMS])
 def test_trace_table_equals_a_schoolbook_fold(p, c, m):
     # triple-gap datums (c3 = 1 and p - 2 included), datums with a
-    # self-dual part and self-dual datums; at j = 1 the slice is the whole
-    # table, and word-sized moduli give array('q') slices
+    # self-dual part and self-dual datums; at j = 1 the engine reads the
+    # whole table, and word-sized moduli give it array('q') constants
     d = HypergeometricDatum(p, c)
     f = field_create(p, m)
     word = max(n for n in range(1, 64) if p ** n <= 2 ** 63)
     for precision in (3, word, word + 1):
-        table = _trace_table(d, f, precision)
+        table = reference.trace_table(d.c, f, precision)
         assert table == _schoolbook_table(d, f, precision)
-        traces = _subfield_traces(d, m, 1, precision)
-        assert type(traces) is (array if precision <= word else tuple)
-        assert list(traces) == table
+        assert _engine_reads(d, m, 1, precision) == \
+            {pt.dlog: table[pt.dlog] for pt in closed_points(f)}
+        constants, traces = gauss.omega_constants(f, precision)
+        assert type(constants) is type(traces) is (array if precision <= word else list)
 
 
 def _table_reads(d, m, j, precision):
@@ -361,24 +356,33 @@ def _table_reads(d, m, j, precision):
     closed point, keyed by the point's dlog: one embed_element and one
     table read per point."""
     small, big = field_create(d.p, m), field_create(d.p, m * j)
-    table = _trace_table(d, big, precision)
+    table = reference.trace_table(d.c, big, precision)
     return {pt.dlog: table[big.dlog[embed_element(small, big, pt.x)]]
             for pt in closed_points(small)}
 
 
 def _slice_reads(d, m, j, precision):
-    traces = _subfield_traces(d, m, j, precision)
+    traces = reference.subfield_traces(d.c, d.p, m, j, precision)
     assert len(traces) == d.p ** m - 1
     return {pt.dlog: traces[pt.dlog] for pt in closed_points(field_create(d.p, m))}
+
+
+def _engine_reads(d, m, j, precision):
+    field = field_create(d.p, m)
+    return {pt.dlog: gauss.raw_trace(d.p, d.c, field, j, precision, pt.x)
+            for pt in closed_points(field)}
 
 
 @pytest.mark.parametrize("m", (1, 2))
 @pytest.mark.parametrize("p, c", _SHARED_PART_DATUMS,
                          ids=[f"{p}-{c}" for p, c in _SHARED_PART_DATUMS])
 def test_subfield_slices_equal_the_table_reads(p, c, m):
+    # the oracle's slices against its own table reads, and the engine
+    # against both
     d = HypergeometricDatum(p, c)
     for j in (1, 2):
-        assert _slice_reads(d, m, j, 3) == _table_reads(d, m, j, 3)
+        reads = _table_reads(d, m, j, 3)
+        assert _slice_reads(d, m, j, 3) == reads == _engine_reads(d, m, j, 3)
 
 
 @pytest.mark.parametrize("m", (2, 3))
@@ -387,47 +391,41 @@ def test_subfield_slices_equal_the_table_reads_at_p7(m):
     for n in (1, 2, 3):
         for c in itertools.combinations_with_replacement(range(1, 6), n):
             d = HypergeometricDatum(7, c)
-            assert _slice_reads(d, m, 1, 3) == _table_reads(d, m, 1, 3)
+            reads = _table_reads(d, m, 1, 3)
+            assert _slice_reads(d, m, 1, 3) == reads == _engine_reads(d, m, 1, 3)
 
 
-def test_a_lowered_limit_refuses_a_cached_slice(monkeypatch):
-    # the limit is read on every trace, so a slice of GF(11^4) built for a
-    # degree-2 point is refused once the limit drops below 11^4
+def test_a_lowered_limit_refuses_built_orbit_tables(monkeypatch):
+    # the limit is read on every trace, so the orbit tables of Z/(11^4 - 1)
+    # built for a degree-2 point are refused once the limit drops below
+    # 11^4, though the point's field GF(11^2) is still within it
     d = HypergeometricDatum(11, (4, 5, 6))
     pt = closed_points(field_create(11, 2))[0]
-    frobenius_trace(d, pt, 2, 2)
-    hits = _subfield_traces.cache_info().hits
-    frobenius_trace(d, pt, 2, 2)
-    assert _subfield_traces.cache_info().hits == hits + 1
+    want = frobenius_trace(d, pt, 2, 2)
+    hits = gauss.residue_sums.cache_info().hits
+    assert frobenius_trace(d, pt, 2, 2) == want
+    assert gauss.residue_sums.cache_info().hits == hits + 1
     monkeypatch.setenv("ISOSLOPE_TABLE_LIMIT", "1000")
-    with pytest.raises(DegreeTooLarge):
+    with pytest.raises(DegreeTooLarge) as info:
         frobenius_trace(d, pt, 2, 2)
+    assert str(info.value) == "GF(11^4) has 14641 elements, over the table limit 1000"
+    assert "orbit tables" in info.value.table
+    assert frobenius_trace(d, pt, 1, 2) == frobenius_trace(d, pt, 1, 2)
 
 
-def test_triple_gap_datums_share_one_product_per_field(monkeypatch):
+def test_triple_gap_datums_share_one_product_per_field():
     # every degree-1 trace of the p = 13 triple-gap family comes from the
-    # Jacobi-sum engine: no trace table and no convolution.  The Gamma_p
-    # table and the orbit data of each field are built once and shared by
-    # all ten datums; each datum builds one residue-class vector per field
-    # (the family is closed under duality, so the duals add none)
-    calls = []
-    real = hyper.cyclic_convolve
-
-    def counting(a, b, modulus):
-        calls.append(len(a))
-        return real(a, b, modulus)
-
-    monkeypatch.setattr(hyper, "cyclic_convolve", counting)
-    for cache in (_subfield_traces, gauss.gamma_table, gauss._orbit_data,
-                  gauss.residue_sums):
+    # Jacobi-sum engine.  The Gamma_p table and the orbit data of each field
+    # are built once and shared by all ten datums; each datum builds one
+    # residue-class vector per field (the family is closed under duality,
+    # so the duals add none)
+    for cache in (gauss.gamma_table, gauss._orbit_data, gauss.residue_sums):
         cache.cache_clear()
     members = [HypergeometricDatum(13, (1, c3, 11)) for c3 in range(1, 12) if c3 != 6]
     for d in members:
         for pt in closed_points(field_create(13, 1)):
             slopes_at_point(d, pt)
     assert len(members) == 10
-    assert calls == []
-    assert _subfield_traces.cache_info().currsize == 0
     assert gauss.gamma_table.cache_info().currsize == 1
     assert gauss._orbit_data.cache_info().currsize == 2
     assert gauss.residue_sums.cache_info().misses == 20
