@@ -61,6 +61,8 @@ def is_prime(n: int) -> bool:
     for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
+    if n < 41 * 41:  # no prime factor up to 37, so none up to sqrt(n)
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -146,50 +146,47 @@ def residue_sums(p: int, c: tuple[int, ...], m: int, f: int, precision: int):
     -t: the nonzero B as (us, bs, vs, cs).  B is constant on the orbits
     u -> p u: us holds one u per orbit of size m, read against
     omega_constants' traces, and vs every member of the smaller orbits,
-    read against its constants; bs and cs hold their B.
+    read against its constants; bs and cs hold their B.  Per (p, f, N)
+    the engine holds _orbit_data's tables, per (c, m, f, N) only these
+    tuples; the orbits of the classes mod M are _orbit_data(p, m, N)'s.
 
     Orbits of Z/(q - 1) are walked by b1 = -a.  With b2 = -c s in
     1 .. q - 2 and b3 = b1 + b2 in 1 .. q - 1, J = -(-p)^k G(b1) G(b2)/G(b3)
     for every a: at b3 = q - 1 the reflection formula Gamma_p(x)
     Gamma_p(1 - x) = (-1)^(x mod p) gives J = -(-1)^(c f) = -chi_c(-1),
-    k = 0.  Carries are summed over all c_i first, and the units are
-    multiplied only for orbits whose total k stays below the precision.
+    k = 0.  Carries are summed over all c_i first; the b3 and the units
+    are computed only for orbits whose total k stays below the precision.
     """
     reps, sizes, gauss, digits = _orbit_data(p, f, precision)
     order, classes = p ** f - 1, p ** m - 1
     s = order // (p - 1)
     modulus = p ** precision
     n = len(c)
+    shifts = [ci * s + 1 for ci in c]  # b3 = (b1 - shift) % order + 1
     # (p - 1) k summed over c, less the sum over c of s(b2)
     carries = [n * digits[b] for b in reps]
-    b3_rows = []
-    for ci in c:
-        shift = ci * s + 1
-        b3s = [(b - shift) % order + 1 for b in reps]
-        carries = [k - digits[b3] for k, b3 in zip(carries, b3s)]
-        b3_rows.append(b3s)
+    for shift in shifts:
+        carries = [k - digits[(b - shift) % order + 1] for k, b in zip(carries, reps)]
     offset = sum(digits[order - ci * s] for ci in c)
     unit = (-1) ** n * prod(gauss[order - ci * s] for ci in c) * pow(order, -1, modulus)
     bound = precision * (p - 1) - offset
     sums = [0] * classes
-    for i, k in enumerate(carries):
+    for b1, size, k in zip(reps, sizes, carries):
         if k < bound:
-            b1 = reps[i]
-            denominator = prod([gauss[b3s[i]] for b3s in b3_rows]) % modulus
+            denominator = prod([gauss[(b1 - shift) % order + 1] for shift in shifts]) % modulus
             v = gauss[b1] ** n * pow(denominator, -1, modulus) \
                 * (-p) ** ((k + offset) // (p - 1))
             u = b1 % classes
-            for _ in range(sizes[i]):
+            for _ in range(size):
                 sums[u] += v
                 u = u * p % classes
     out = [], [], [], []
-    for u, v in enumerate(sums):
-        orbit = v % modulus and {u * p ** i % classes for i in range(m)}
-        if orbit and u == min(orbit):
-            side = 0 if len(orbit) == m else 2
-            for w in [u] if side == 0 else sorted(orbit):
+    for u, size in zip(*_orbit_data(p, m, precision)[:2]):
+        if v := unit * sums[u] % modulus:
+            side = 0 if size == m else 2
+            for w in [u] if side == 0 else sorted(u * p ** i % classes for i in range(size)):
                 out[side].append(w)
-                out[side + 1].append(unit * v % modulus)
+                out[side + 1].append(v)
     return tuple(map(tuple, out))
 
 

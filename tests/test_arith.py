@@ -54,6 +54,15 @@ def test_is_prime_small_cases():
     assert is_prime(2 ** 31 - 1)
 
 
+def test_is_prime_equals_trial_division_below_5000():
+    # below 41^2 the witnesses' trial division decides alone; above it,
+    # Miller-Rabin does
+    def oracle(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(5000) if is_prime(n)] == [n for n in range(5000) if oracle(n)]
+
+
 def test_gf49_frozen_construction():
     f = field_create(7, 2)
     assert f.q == 49

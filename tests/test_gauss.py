@@ -198,3 +198,31 @@ def test_degree_two_points_build_no_extension_field(monkeypatch):
     with pytest.raises(DegreeTooLarge) as info:
         frobenius_trace(datum, pt, 2, 2)
     assert "orbit tables" in info.value.table
+
+
+@pytest.mark.parametrize("p, c, m, precision", [
+    (3, (1, 1), 3, 3),  # classes mod 26: orbits {0}, {13} and of size 3
+    (7, (2, 4), 2, 2),
+])
+def test_a_first_trace_at_j_two_groups_the_classes_from_cold_orbit_data(
+        monkeypatch, p, c, m, precision):
+    # residue_sums groups the classes mod p^m - 1 by _orbit_data(p, m, N);
+    # a j = 2 trace asked before any j = 1 trace builds that entry itself
+    traces = reference.subfield_traces(c, p, m, 2, precision)
+    field = field_create(p, m)
+    for cache in (gauss.gamma_table, gauss._orbit_data, gauss.residue_sums,
+                  gauss.omega_constants):
+        cache.cache_clear()
+    built = []
+    shared = arith._shared_field
+
+    def recording(p, m):
+        built.append((p, m))
+        return shared(p, m)
+
+    monkeypatch.setattr(arith, "_shared_field", recording)
+    got = {pt.dlog: gauss.raw_trace(p, c, field, 2, precision, pt.x)
+           for pt in closed_points(field)}
+    assert gauss._orbit_data.cache_info().currsize == 2  # f = 2 m and f = m
+    assert got == {k: traces[k] for k in got}
+    assert (p, 2 * m) not in built
