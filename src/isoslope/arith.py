@@ -17,12 +17,11 @@ Conventions
   for factor counts and the modulus, over GF(p^m) for roots.
 * Discrete-log and exponential tables are built at construction and held
   as array('q') (8 bytes an entry), so field size is capped (default 2^21
-  elements, ISOSLOPE_TABLE_LIMIT overrides).  For m >= 2 and p <= 127 the
-  powers of the generator come from byte-sliced lookup tables reduced with
-  bytes.translate; m = 1, and m = 2 above p = 127, multiply by _mul_raw, a
-  schoolbook product of digit lists reduced by the modulus.  _mul_raw reads
-  no table and calls no other polynomial routine, so it stays as the
-  oracle for both builds.
+  elements, ISOSLOPE_TABLE_LIMIT overrides).  While m(p - 1) <= 255 the
+  powers of the generator are built in bulk on digit columns, one bytes
+  object per base-p digit (_bulk_powers); larger fields multiply by
+  _mul_raw, a schoolbook product of digit lists reduced by the modulus,
+  which reads no table and stays as the oracle for both builds.
   field_create() checks the cap on every call and returns one shared field
   per (p, m); tables derived from fields are memoized with functools.cache,
   keyed by the field object itself.
@@ -36,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -236,60 +236,62 @@ class ExtField:
         raise AssertionError("no generator found")  # pragma: no cover
 
     def _build_tables(self):
-        if self.m >= 2 and self.p <= 127:
-            powers = self._sliced_powers()
+        if self.m * (self.p - 1) <= 255:
+            self.exp = self._bulk_powers()
         else:
-            powers = self._raw_powers()
-        self.exp = array("q", powers)
+            self.exp = array("q", self._raw_powers())
+        if self._mul_raw(self.exp[-1], self.generator) != 1:
+            raise AssertionError("generator order check failed")  # pragma: no cover
         self.dlog = dlog = array("q", [-1]) * self.q
         for e, x in enumerate(self.exp):
             dlog[x] = e
 
     def _raw_powers(self):
         """g^0 .. g^(q-2) by repeated _mul_raw."""
-        cur = 1
-        for _ in range(self.q - 1):
-            yield cur
-            cur = self._mul_raw(cur, self.generator)
-        if cur != 1:
-            raise AssertionError("generator order check failed")  # pragma: no cover
+        return itertools.accumulate(itertools.repeat(self.generator, self.q - 2),
+                                    self._mul_raw, initial=1)
 
-    def _sliced_powers(self):
-        """g^0 .. g^(q-2) by byte-sliced tables, for m >= 2 and p <= 127.
+    def _bulk_powers(self) -> array:
+        """g^0 .. g^(q-2) as array('q') in C-level loops, for m(p - 1) <= 255.
 
-        An element is "spread" into an int with one byte per base-p digit.
-        Multiplication by g is GF(p)-linear, so the spread of g*a is the
-        digit-wise sum of one table lookup on a's low digits and one on its
-        high digits; each byte of the sum is below 2p - 1 <= 252, so
-        bytes.translate reduces it mod p.  Above its top byte every table
-        value also carries the encoding of its key's digits, and the two
-        halves' encodings add up to the encoding of a itself.
+        The block g^0 .. g^(L-1), held as m digit columns D_k, is doubled:
+        times h = g^L, new column i is sum_k M_ik D_k mod p, column k of M
+        holding the digits of h X^k.  bytes.translate multiplies a column by
+        a constant mod p, big-int addition adds the byte slots (each at most
+        m(p - 1), so nothing carries), and one more translate reduces them.
+        The encodings sum_j D_j p^j are summed the same way on 4-byte slots
+        (q < 2^32 for any table that fits in memory).
         """
-        p, m = self.p, self.m
-        width = 8 * m
-        reduce_ = bytes(v % p for v in range(256))
+        p, m, n = self.p, self.m, self.q - 1
+        # c -> the translate table of v -> c v mod p; times[1] reduces mod p
+        times = {1: bytes(v % p for v in range(256))}
 
-        def half_table(lo, hi):
-            table = {}
-            for digits in itertools.product(range(p), repeat=hi - lo):
-                a = self._encode([0] * lo + list(digits))
-                image = bytes(self._digits_of(self._mul_raw(self.generator, a)))
-                table[int.from_bytes(bytes(digits), "little")] = \
-                    a << width | int.from_bytes(image, "little")
-            return table
+        def scaled(col: bytes, c: int) -> int:
+            if c not in times:
+                times[c] = bytes(c * v % p for v in range(256))
+            return int.from_bytes(col.translate(times[c]), "little")
 
-        split = m // 2
-        low, high = half_table(0, split), half_table(split, m)
-        low_bits, mask = 8 * split, (1 << width) - 1
-        low_mask = (1 << low_bits) - 1
-        cur = 1
-        for _ in range(self.q - 1):
-            s = low[cur & low_mask] + high[cur >> low_bits]
-            yield s >> width
-            cur = int.from_bytes((s & mask).to_bytes(m, "little").translate(reduce_),
-                                 "little")
-        if cur != 1:
-            raise AssertionError("generator order check failed")  # pragma: no cover
+        cols, h = [b"\x01"] + [b"\x00"] * (m - 1), self.generator  # g^0 and g^L
+        while len(cols[0]) < n:
+            matrix = [self._digits_of(self._mul_raw(h, p ** k)) for k in range(m)]
+            block = [col[:n - len(col)] for col in cols]
+            cols = [col + sum(scaled(block[k], matrix[k][i]) for k in range(m)
+                              if matrix[k][i])
+                    .to_bytes(len(block[0]), "little").translate(times[1])
+                    for i, col in enumerate(cols)]
+            h = self._mul_raw(h, h)
+        encoded = 0
+        for col in reversed(cols):
+            slots = bytearray(4 * n)
+            slots[::4] = col
+            encoded = encoded * p + int.from_bytes(slots, "little")
+        out = bytearray(8 * n)  # little-endian 8-byte entries
+        memoryview(out).cast("I")[::2] = memoryview(encoded.to_bytes(4 * n, "little")).cast("I")
+        exp = array("q")
+        exp.frombytes(out)
+        if sys.byteorder == "big":  # pragma: no cover
+            exp.byteswap()
+        return exp
 
     # -- arithmetic -------------------------------------------------------
 

@@ -163,14 +163,17 @@ def _replacing(path: str):
 @contextlib.contextmanager
 def _stdout_when_complete():
     """Yield a stream into an unnamed temp file and copy it to stdout on a
-    clean exit, so stdout gets the whole output or none of it."""
+    clean exit, so stdout gets the whole output or none of it.  The stream
+    is write-only, since a readable one resets its decoder on every write."""
     import shutil
     import tempfile  # only here: importing it would add to every command's start-up
 
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as fh:
-        yield fh
-        fh.seek(0)
-        shutil.copyfileobj(fh, sys.stdout)
+    with tempfile.TemporaryFile() as raw:
+        with open(raw.fileno(), "w", encoding="utf-8", newline="", closefd=False) as fh:
+            yield fh
+        raw.seek(0)
+        with open(raw.fileno(), encoding="utf-8", newline="", closefd=False) as fh:
+            shutil.copyfileobj(fh, sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -297,37 +300,24 @@ def _parse_rational_list(text: str) -> list[Fraction]:
 
 def cmd_coweight(args) -> int:
     if args.subcmd == "small-gaps":
-        datum = _parse_datum_type(args.type)
-        rep = small_gaps(datum, _parse_rational_list(args.coweight))
-        rec = {
-            "schema_version": PAYLOAD_SCHEMA_VERSION,
+        rep = small_gaps(_parse_datum_type(args.type), _parse_rational_list(args.coweight))
+        body = {
             "satisfied": rep.satisfied,
             "gaps": [rational_str(g) for g in rep.gaps],
             "violating": list(rep.violating),
             "le1_indices": list(rep.le1_indices),
         }
     elif args.subcmd == "rho":
-        datum = _parse_datum_type(args.type)
-        rec = {
-            "schema_version": PAYLOAD_SCHEMA_VERSION,
-            "rho": [rational_str(v) for v in weyl_vector(datum)],
-        }
+        body = {"rho": [rational_str(v) for v in weyl_vector(_parse_datum_type(args.type))]}
     elif args.subcmd == "leq":
-        datum = _parse_datum_type(args.type)
-        rec = {
-            "schema_version": PAYLOAD_SCHEMA_VERSION,
-            "leq": dominance_leq(datum, _parse_rational_list(args.a),
-                                 _parse_rational_list(args.b)),
-        }
+        body = {"leq": dominance_leq(_parse_datum_type(args.type), _parse_rational_list(args.a),
+                                     _parse_rational_list(args.b))}
     else:
         lo, hi = cohomology_slope_interval(_parse_rational(args.r),
                                            _parse_rational(args.s),
                                            args.i, args.n)
-        rec = {
-            "schema_version": PAYLOAD_SCHEMA_VERSION,
-            "interval": [rational_str(lo), rational_str(hi)],
-        }
-    emit_records([rec], args.format, sys.stdout)
+        body = {"interval": [rational_str(lo), rational_str(hi)]}
+    emit_records([{"schema_version": PAYLOAD_SCHEMA_VERSION, **body}], args.format, sys.stdout)
     return EX_OK
 
 

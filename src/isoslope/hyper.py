@@ -255,35 +255,38 @@ def point_spec(field: ExtField, x: int) -> PointSpec:
             f"element has exact degree {len(orbit)}, not {field.m}; "
             f"build it over GF({field.p}^{len(orbit)})"
         )
-    canon = min(orbit, key=lambda y: field.dlog[y])
-    return PointSpec(field, canon)
+    return PointSpec(field, min(orbit, key=field.dlog.__getitem__))
+
+
+def point_dlogs(field: ExtField) -> list[int]:
+    """The smallest dlog of every Frobenius orbit of exact size m, ascending:
+    the dlogs of closed_points.  Frobenius multiplies a dlog by p mod
+    p^m - 1, which rotates its m base-p digits, so a representative's digit
+    word (most significant first) is smaller than each of its other
+    rotations: a Lyndon word.  Duval's algorithm lists the Lyndon words of
+    length at most m in lexicographic order, which is dlog order on length m.
+    """
+    p, m = field.p, field.m
+    out, word = [], [-1]
+    while word:
+        word[-1] += 1
+        size = len(word)
+        if size == m:
+            e = 0
+            for d in word:
+                e = e * p + d
+            out.append(e)
+        while len(word) < m:
+            word.append(word[-size])
+        while word and word[-1] == p - 1:
+            word.pop()
+    return out[1:-1] if m == 1 else out  # at m = 1, words 0 and p - 1 are x = 1
 
 
 def closed_points(field: ExtField) -> list[PointSpec]:
     """Canonical representatives of every closed point of exact degree m,
-    ordered by representative dlog.
-
-    x = 1 (dlog 0) is never a point.  An orbit is first met at its smallest
-    dlog, which is therefore its representative.
-    """
-    q, p, m = field.q, field.p, field.m
-    order = q - 1
-    seen = bytearray(order)
-    out = []
-    for e in range(1, order):
-        if seen[e]:
-            continue
-        size = 0
-        f = e
-        while True:
-            size += 1
-            seen[f] = 1
-            f = f * p % order
-            if f == e:
-                break
-        if size == m:
-            out.append(PointSpec(field, field.exp[e]))
-    return out
+    the element of smallest dlog in its orbit, ordered by that dlog."""
+    return [PointSpec(field, field.exp[e]) for e in point_dlogs(field)]
 
 
 def frobenius_trace(datum: HypergeometricDatum, point: PointSpec, j: int,

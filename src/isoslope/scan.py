@@ -45,13 +45,14 @@ from .hyper import (
     FAST_PATH_MAX_RANK,
     STRATEGIES,
     HypergeometricDatum,
+    PointSpec,
     SlopeReport,
     _check_slopes,
     _generic_profile,
     auto_precision,
-    closed_points,
     degeneracy_loci,
     gap_profile,
+    point_dlogs,
     slopes_at_point,
 )
 
@@ -593,7 +594,9 @@ def scan_family(spec: FamilySpec, checkpoint: str | None = None,
     Points whose records are already in the checkpoint are not recomputed;
     every new record is appended to it as soon as it exists.  Datums come
     in ascending (p, c) and, within a datum, points in ascending (degree,
-    dlog), so the records come sorted by (p, c, degree, x_dlog).
+    dlog), so the records come sorted by (p, c, degree, x_dlog).  A point
+    is its dlog from hyper.point_dlogs and x = exp[dlog]; only a point
+    handed to slopes_at_point is made a PointSpec.
 
     Each point's record is a head (see _Head) plus its x and x_dlog.  The
     root sets of u and of the dual's u (hyper.degeneracy_loci, by
@@ -634,18 +637,19 @@ def scan_family(spec: FamilySpec, checkpoint: str | None = None,
             expected = predicted_violation_points(datum)
             c3 = _triple_gap_c3(datum)
             first = len(violations)
+            low_rank = datum.n <= FAST_PATH_MAX_RANK
             for degree in range(1, spec.m_max + 1):
                 field = field_create(datum.p, degree)
-                loci = degeneracy_loci(datum, field)
+                exp, loci = field.exp, degeneracy_loci(datum, field)
                 fast_head = None
-                for pt in closed_points(field):
-                    x, x_dlog = pt.x, pt.dlog
+                for x_dlog in point_dlogs(field):
+                    x = exp[x_dlog]
                     flags = x in loci[0], x in loci[1]
-                    fast = flags == (False, False) and datum.n <= FAST_PATH_MAX_RANK
+                    fast = flags == (False, False) and low_rank
                     head = fast_head if fast else \
                         store.serve(datum, degree, x, x_dlog, flags)
                     if head is None:
-                        report = slopes_at_point(datum, pt)
+                        report = slopes_at_point(datum, PointSpec(field, x))
                         got = report.degenerate, report.dual_degenerate
                         if report.fast_path != fast or flags != got:
                             raise AssertionError(

@@ -79,7 +79,8 @@ def test_exp_dlog_are_inverse_bijections():
             assert f.dlog[f.exp[e]] == e
 
 
-# every m >= 2 field with at most 3000 elements: all take the byte-sliced build
+# every m >= 2 field with at most 3000 elements: all take the bulk build,
+# as does every field with m(p - 1) <= 255
 SLICED_FIELDS = [(p, m) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
                  for m in range(2, 12) if p ** m <= 3000]
 
@@ -100,23 +101,37 @@ def _assert_tables_follow(f, chain):
     assert all(f.dlog[y] == e for e, y in enumerate(chain))
 
 
-@pytest.mark.parametrize("p, m", SLICED_FIELDS + [(13, 4)])
+@pytest.mark.parametrize("p, m", SLICED_FIELDS + [
+    (13, 4), (7, 6),  # the largest fields of the benchmark workloads
+    (127, 2),  # m(p - 1) = 252, the largest degree-2 field on the bulk side
+    (3, 1), (43, 1), (251, 1),
+])
 def test_sliced_tables_match_the_raw_chain(p, m):
+    # the digit-column (sliced) bulk build, against the chain, whole
     f = field_create(p, m)
     chain = _raw_chain(f, f.q - 1)
-    assert list(f._sliced_powers()) == chain
+    assert list(f._bulk_powers()) == chain
     _assert_tables_follow(f, chain)
-
-
-def test_sliced_tables_on_a_prefix_of_gf_7_6():
-    f = field_create(7, 6)
-    _assert_tables_follow(f, _raw_chain(f, 20000))
 
 
 @pytest.mark.parametrize("p, m", [(131, 2), (2, 1), (3, 1), (101, 1), (1009, 1)])
 def test_fallback_tables_match_the_raw_chain(p, m):
-    # m = 1, and m = 2 above p = 127, keep the _mul_raw build
+    # the tables field_create keeps, on both sides of m(p - 1) <= 255:
+    # GF(131^2) and GF(1009) take _raw_powers, the prime fields below take
+    # the bulk build
     f = field_create(p, m)
+    _assert_tables_follow(f, _raw_chain(f, f.q - 1))
+
+
+@pytest.mark.parametrize("p, m, bulk", [
+    (127, 2, True), (131, 2, False), (251, 1, True), (257, 1, False), (2, 11, True),
+])
+def test_the_bulk_build_serves_exactly_m_times_p_minus_1_up_to_255(monkeypatch, p, m, bulk):
+    def refuse(self):
+        raise AssertionError("the other build was called")
+
+    monkeypatch.setattr(ExtField, "_raw_powers" if bulk else "_bulk_powers", refuse)
+    f = ExtField(p, m)  # not the shared field: this one is built here
     _assert_tables_follow(f, _raw_chain(f, f.q - 1))
 
 

@@ -25,7 +25,7 @@ import pytest
 import isoslope
 from isoslope.cli import main
 from isoslope.errors import MalformedInput
-from isoslope.hyper import HypergeometricDatum, auto_precision, start_precision
+from isoslope.hyper import HypergeometricDatum, auto_precision, slopes_at_point, start_precision
 
 _SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "output_record.schema.json"
 RECORD_SCHEMA = json.loads(_SCHEMA_PATH.read_text(encoding="utf-8"))
@@ -316,6 +316,23 @@ def test_scan_out_is_replaced_only_when_complete(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
     assert out_path.read_bytes() == b"an earlier report\n"
     assert [p.name for p in tmp_path.iterdir()] == ["records.csv"]
+
+
+def test_a_scan_that_fails_midway_writes_nothing_to_stdout(capsys, monkeypatch):
+    computed = []
+
+    def failing_on_the_third_point(datum, point):
+        computed.append(point.x)
+        if len(computed) == 3:
+            raise RuntimeError("scan failed")
+        return slopes_at_point(datum, point)
+
+    monkeypatch.setattr("isoslope.scan.slopes_at_point", failing_on_the_third_point)
+    with pytest.raises(RuntimeError, match="scan failed"):
+        main(["scan", "--family", "triplegap", "--p-range", "5..7"])
+    # the first two points' records went to the spool, and none to stdout
+    assert len(computed) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_scan_out_in_a_missing_directory_is_a_usage_error(capsys, tmp_path):

@@ -49,6 +49,7 @@ from isoslope.hyper import (
     gap_profile,
     is_self_dual,
     norm_compatibility_check,
+    point_dlogs,
     point_spec,
     resolve_strategy,
     slopes_at_point,
@@ -204,6 +205,21 @@ def test_closed_points_counts_and_order():
     assert len(closed_points(field_create(7, 3))) == 112
     for pt in closed_points(field_create(7, 2)):
         assert pt.field.element_degree(pt.x) == 2
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (7, 1), (2, 6), (2, 12), (3, 5), (3, 8),
+                                  (5, 3), (5, 6), (7, 2), (7, 4), (13, 3), (31, 2)])
+def test_point_dlogs_are_the_smallest_dlog_of_every_orbit_of_size_m(p, m):
+    # the oracle: every orbit of Z/(p^m - 1) under multiplication by p
+    # listed whole, with no digit words
+    order, want = p ** m - 1, []
+    for e in range(1, order):
+        orbit = {e * p ** k % order for k in range(m)}
+        if len(orbit) == m and min(orbit) == e:
+            want.append(e)
+    field = field_create(p, m)
+    assert point_dlogs(field) == want
+    assert [pt.dlog for pt in closed_points(field)] == want
 
 
 # -- traces ------------------------------------------------------------------

@@ -940,3 +940,25 @@ def test_scan_refuses_a_root_set_that_disagrees_with_the_fast_path(monkeypatch, 
                         lambda datum, field: _LOCI_LIES[lie](real(datum, field), field.q))
     with pytest.raises(AssertionError, match="fast_path"):
         scan_family(_LOCI_SCANS[family])
+
+
+class _PointLog:
+    """A scan writer that keeps each point's (degree, x, x_dlog) alone."""
+
+    def __init__(self):
+        self.points = []
+
+    def write_point(self, head, x: int, x_dlog: int):
+        self.points.append((head.fields["degree"], x, x_dlog))
+
+    def close(self, datum_count: int, violations):
+        pass
+
+
+@pytest.mark.parametrize("p, c, m_max", [(3, (1,), 5), (5, (1, 2), 3), (7, (2, 3), 2)])
+def test_the_scan_walks_the_closed_points_of_every_degree_in_order(p, c, m_max):
+    log = _PointLog()
+    scan_family(FamilySpec("explicit", p, p, c=c, m_max=m_max), writer=log)
+    want = [(degree, pt.x, pt.dlog) for degree in range(1, m_max + 1)
+            for pt in closed_points(field_create(p, degree))]
+    assert log.points == want
